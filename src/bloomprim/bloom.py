@@ -20,8 +20,14 @@ finalizer to the key xored with two seed-derived tweak words:
     h1 = mix64(key ^ mix64(seed ^ 0x9E3779B97F4A7C15))
     h2 = mix64(key ^ mix64(seed ^ 0xC2B2AE3D27D4EB4F))
 
-All arithmetic is modulo 2**64, so filters are bit-identical across
-platforms and straightforward to reproduce in other languages.
+The hash arithmetic is modulo 2**64, but the probe index is exact: its
+sum and product are not wrapped, so a port with 64-bit words must reduce
+before it multiplies,
+
+    index_i = (h1 mod bit_count + i * (h2 mod bit_count)) mod bit_count,
+
+which gives the same bits and stays below ``hash_count * bit_count``.
+Filters are then bit-identical across platforms and languages.
 """
 
 from __future__ import annotations
@@ -44,13 +50,16 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _seed_words(seed: int) -> tuple[int, int]:
+    s = seed & _MASK64
+    return _mix64(s ^ _SEED_TWEAK_LOW), _mix64(s ^ _SEED_TWEAK_HIGH)
+
+
 def hash_pair(key: int, seed: int = 0) -> tuple[int, int]:
     """Return the two 64-bit halves ``(h1, h2)`` of the seeded key hash."""
     k = key & _MASK64
-    s = seed & _MASK64
-    h1 = _mix64(k ^ _mix64(s ^ _SEED_TWEAK_LOW))
-    h2 = _mix64(k ^ _mix64(s ^ _SEED_TWEAK_HIGH))
-    return h1, h2
+    low, high = _seed_words(seed)
+    return _mix64(k ^ low), _mix64(k ^ high)
 
 
 @dataclass(frozen=True)
@@ -111,9 +120,7 @@ class BloomFilter:
         self.hash_seed = hash_seed
         self.bits = BitArray(params.bit_count)
         self.inserted_count = 0
-        s = hash_seed & _MASK64
-        self._seed_low = _mix64(s ^ _SEED_TWEAK_LOW)
-        self._seed_high = _mix64(s ^ _SEED_TWEAK_HIGH)
+        self._seed_low, self._seed_high = _seed_words(hash_seed)
 
     @classmethod
     def for_capacity(

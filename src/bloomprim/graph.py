@@ -250,6 +250,11 @@ def load_graph(source: str | Path | TextIO) -> Graph:
         raise GraphFormatError(1, f"node_count must be >= 1, got {node_count}")
     if edge_count < 0:
         raise GraphFormatError(1, f"edge_count must be >= 0, got {edge_count}")
+    # checked before allocating, so a huge edge_count cannot size the arrays
+    if edge_count > len(lines) - 1:
+        raise GraphFormatError(
+            len(lines) + 1, f"unexpected end of file, expected {edge_count} edge lines"
+        )
 
     edge_u = np.empty(edge_count, dtype=np.int64)
     edge_v = np.empty(edge_count, dtype=np.int64)
@@ -257,8 +262,6 @@ def load_graph(source: str | Path | TextIO) -> Graph:
     seen: set[int] = set()
     for e in range(edge_count):
         line_no = e + 2
-        if e + 1 >= len(lines):
-            raise GraphFormatError(line_no, f"unexpected end of file, expected {edge_count} edge lines")
         parts = lines[e + 1].split()
         if len(parts) != 3:
             raise GraphFormatError(line_no, f"expected '<u> <v> <weight>', got {lines[e + 1]!r}")

@@ -1,14 +1,16 @@
 """Prim-style minimum spanning tree solvers.
 
-Two solvers share the same greedy frontier expansion but differ in how
-they remember visited nodes:
+One greedy frontier expansion, :func:`_prim`, backs both solvers; they
+differ only in the visited set it probes:
 
-* :func:`prim_baseline` tracks visited nodes in an exact hash set and
-  returns the true MST.
-* :func:`prim_bloom` tracks them in a Bloom filter.  A false positive
-  makes the solver skip a node permanently, so its tree may span fewer
-  nodes and cost less than the true MST; it never selects a node twice
-  and never forms a cycle.
+* :func:`prim_baseline` passes an exact hash set and returns the true
+  MST.
+* :func:`prim_bloom` passes a Bloom filter.  A false positive makes the
+  solver skip a node permanently, so its tree may span fewer nodes; it
+  never selects a node twice and never forms a cycle.  The tree is the
+  MST of the subgraph induced by the nodes it spans, which may cost
+  more than the true MST: a skipped node's neighbours can be joined
+  over dearer edges.
 
 Frontier entries are ``(weight, edge_id, sink_node)`` tuples, so the
 heap orders by weight with the global edge id as a deterministic
@@ -51,38 +53,21 @@ class MstResult:
     spanned_node_count: int
 
 
-class ExactSet:
-    """Exact visited-set with the same ``add``/``contains`` surface as
-    :class:`~bloomprim.bloom.BloomFilter`; substituting it into
-    :func:`prim_bloom` removes all false positives."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self):
-        self._items: set[int] = set()
-
-    def add(self, key: int) -> None:
-        self._items.add(key)
-
-    def contains(self, key: int) -> bool:
-        return key in self._items
-
-    __contains__ = contains
+# Exact visited set: substituting it into :func:`prim_bloom` removes all
+# false positives, so the result equals :func:`prim_baseline` bit for bit.
+ExactSet = set
 
 
-def _check_start(graph: Graph, start: int) -> None:
+def _prim(graph: Graph, start: int, visited) -> MstResult:
+    """Grow a tree from ``start``, skipping every sink ``in visited``.
+
+    ``visited`` is any object with ``add`` and ``in`` over int keys; the
+    start node and each selected sink are added to it.
+    """
     if not 0 <= start < graph.node_count:
         raise ValueError(f"start node {start} out of range [0, {graph.node_count})")
-
-
-def prim_baseline(graph: Graph, start: int = 0) -> MstResult:
-    """Exact Prim's algorithm with a hash-set visited structure.
-
-    Returns the MST of the component containing ``start`` (the full MST
-    when the graph is connected).
-    """
-    _check_start(graph, start)
-    visited = {start}
+    add = visited.add
+    add(start)
     edge_bits = BitArray(graph.edge_count)
     total_cost = 0.0
     selected = 0
@@ -101,7 +86,7 @@ def prim_baseline(graph: Graph, start: int = 0) -> MstResult:
         weight, edge_id, node = pop(heap)
         if node in visited:
             continue
-        visited.add(node)
+        add(node)
         total_cost += weight
         selected += 1
         spanned += 1
@@ -116,6 +101,15 @@ def prim_baseline(graph: Graph, start: int = 0) -> MstResult:
     return MstResult(total_cost, edge_bits, selected, spanned)
 
 
+def prim_baseline(graph: Graph, start: int = 0) -> MstResult:
+    """Exact Prim's algorithm with a hash-set visited structure.
+
+    Returns the MST of the component containing ``start`` (the full MST
+    when the graph is connected).
+    """
+    return _prim(graph, start, set())
+
+
 def prim_bloom(
     graph: Graph,
     start: int = 0,
@@ -126,53 +120,21 @@ def prim_bloom(
     """Prim's algorithm with a Bloom-filter visited structure.
 
     The filter is sized for ``graph.node_count`` keys at rate
-    ``epsilon``.  Pass ``visited`` (any object with ``add``/``contains``
-    over int keys, e.g. :class:`ExactSet`) to substitute the membership
+    ``epsilon``.  Pass ``visited`` (any object with ``add`` and ``in``
+    over int keys, e.g. :data:`ExactSet`) to substitute the membership
     structure; with an exact set the result equals
     :func:`prim_baseline` bit for bit.
 
     A false positive drops the popped frontier entry, and the filter
     only ever gains bits, so the affected node stays unreachable; the
-    result then reports ``spanned_node_count < node_count``.
+    result then reports ``spanned_node_count < node_count``.  The tree
+    is the MST of the subgraph induced by the nodes it spans; its cost
+    may exceed the exact MST's, since a skipped node's neighbours can be
+    joined over dearer edges.
     """
-    _check_start(graph, start)
     if visited is None:
         visited = BloomFilter.for_capacity(graph.node_count, epsilon, hash_seed)
-    contains = visited.contains
-    add = visited.add
-
-    add(start)
-    edge_bits = BitArray(graph.edge_count)
-    total_cost = 0.0
-    selected = 0
-    spanned = 1
-    node_count = graph.node_count
-    heap: list[tuple[float, int, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-
-    nodes, weights, edge_ids = graph.adjacent(start)
-    for node, weight, edge_id in zip(nodes, weights, edge_ids):
-        if not contains(node):
-            push(heap, (weight, edge_id, node))
-
-    while heap:
-        weight, edge_id, node = pop(heap)
-        if contains(node):
-            continue
-        add(node)
-        total_cost += weight
-        selected += 1
-        spanned += 1
-        edge_bits.set(edge_id)
-        if spanned == node_count:
-            break
-        nodes, weights, edge_ids = graph.adjacent(node)
-        for nxt, nxt_weight, nxt_edge in zip(nodes, weights, edge_ids):
-            if not contains(nxt):
-                push(heap, (nxt_weight, nxt_edge, nxt))
-
-    return MstResult(total_cost, edge_bits, selected, spanned)
+    return _prim(graph, start, visited)
 
 
 def recover_edges(result: MstResult, graph: Graph) -> list[tuple[int, int, float]]:

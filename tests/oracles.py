@@ -47,6 +47,30 @@ def kruskal(graph: Graph) -> tuple[float, set[int]]:
     return total, chosen
 
 
+def induced_kruskal(graph: Graph, nodes) -> tuple[float, set[int]]:
+    """MST cost and original edge ids of the subgraph induced by ``nodes``.
+
+    Nodes are relabelled in ascending order and edges kept in edge-id
+    order, so ties break as in :func:`kruskal` on the whole graph.
+    """
+    keep = np.sort(np.fromiter(nodes, dtype=np.int64))
+    ids = np.flatnonzero(np.isin(graph.edge_u, keep) & np.isin(graph.edge_v, keep))
+    sub = Graph(
+        len(keep),
+        np.searchsorted(keep, graph.edge_u[ids]),
+        np.searchsorted(keep, graph.edge_v[ids]),
+        graph.edge_weight[ids],
+    )
+    cost, chosen = kruskal(sub)
+    return cost, {int(ids[e]) for e in chosen}
+
+
+def spanned_nodes(result, graph: Graph, start: int = 0) -> set[int]:
+    """The start node plus every endpoint of the result's selected edges."""
+    ids = list(result.edge_bits.iter_set())
+    return {start, *graph.edge_u[ids].tolist(), *graph.edge_v[ids].tolist()}
+
+
 def is_forest(edges: list[tuple[int, int, float]], node_count: int) -> bool:
     """True iff the edge list contains no cycle."""
     uf = UnionFind(node_count)

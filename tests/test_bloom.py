@@ -138,3 +138,36 @@ def test_hash_pair_reference_values():
 
 def test_hash_pair_uses_low_64_bits_of_key():
     assert hash_pair(2**64 + 5, 0) == hash_pair(5, 0)
+
+
+def _mix64_uint64(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def test_probe_rule_ports_to_uint64_arithmetic():
+    # The documented rule (h1 mod m + i*(h2 mod m)) mod m, computed in
+    # wrapping 64-bit words only, rebuilds the filter bit for bit; the
+    # naive wrapping (h1 + i*h2) mod m does not (key 1234 differs at
+    # probes 3-7 for seed 77, m = 95851).
+    f = BloomFilter.for_capacity(10_000, 0.01, hash_seed=77)
+    assert (f.params.bit_count, f.params.hash_count) == (95851, 7)
+    keys = [1234, *range(0, 7000, 7), 2**64 - 1]
+    for key in keys:
+        f.add(key)
+
+    k = np.array(keys, dtype=np.uint64)
+    seed = np.array([77], dtype=np.uint64)
+    h1 = _mix64_uint64(k ^ _mix64_uint64(seed ^ np.uint64(0x9E3779B97F4A7C15)))
+    h2 = _mix64_uint64(k ^ _mix64_uint64(seed ^ np.uint64(0xC2B2AE3D27D4EB4F)))
+    m = np.uint64(f.params.bit_count)
+    i = np.arange(f.params.hash_count, dtype=np.uint64)[:, None]
+
+    def packed(indices):
+        hit = np.zeros(f.params.bit_count, dtype=bool)
+        hit[indices.ravel()] = True
+        return np.packbits(hit, bitorder="little").tobytes()
+
+    assert packed((h1 % m + i * (h2 % m)) % m) == f.bits.tobytes()
+    assert packed((h1 + i * h2) % m) != f.bits.tobytes()

@@ -78,6 +78,14 @@ class TestMst:
         assert code == 2
         assert err
 
+    def test_edge_count_beyond_file_is_parse_error(self, capsys, tmp_path):
+        # checked before any array is sized by the header
+        bad = tmp_path / "huge.txt"
+        bad.write_text("5 1000000000000\n0 1 0.5\n")
+        code, _, err = run_cli(capsys, "mst", str(bad))
+        assert code == 2
+        assert "line 3: unexpected end of file" in err
+
     def test_malformed_file_is_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 1\n0 0 1.0\n")

@@ -8,7 +8,7 @@ from bloomprim import (
     prim_bloom,
     recover_edges,
 )
-from oracles import is_forest, kruskal
+from oracles import induced_kruskal, is_forest, kruskal, spanned_nodes
 
 
 class TestBaseline:
@@ -67,12 +67,19 @@ class TestBloomVariant:
             assert bloom.selected_edge_count <= base.selected_edge_count
             assert bloom.spanned_node_count <= base.spanned_node_count
 
-    def test_cost_not_above_baseline(self):
-        for seed in range(10):
+    def test_tree_is_mst_of_spanned_nodes(self):
+        # the cost is not bounded by the exact cost: on the bench trials
+        # with run seeds 17 and 56 a false positive makes the tree dearer
+        dearer = []
+        for seed in (*range(10), 17, 56):
             g = generate_graph(GeneratorConfig(node_count=1000, seed=seed))
-            base = prim_baseline(g, 0)
             bloom = prim_bloom(g, 0, hash_seed=seed)
-            assert bloom.total_cost <= base.total_cost + 1e-9 * base.total_cost
+            cost, edges = induced_kruskal(g, spanned_nodes(bloom, g))
+            assert set(bloom.edge_bits.iter_set()) == edges
+            assert bloom.total_cost == pytest.approx(cost, rel=1e-9)
+            if bloom.total_cost > prim_baseline(g, 0).total_cost:
+                dearer.append(seed)
+        assert dearer == [17, 56]
 
     def test_result_is_forest_even_with_aggressive_filter(self):
         # large epsilon forces many false positives; tree property must hold
