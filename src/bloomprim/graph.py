@@ -9,7 +9,10 @@ Graph file format (UTF-8 text)
 ------------------------------
 First line ``"<node_count> <edge_count>"``, then ``edge_count`` lines
 ``"<u> <v> <weight>"`` with ``u < v`` and the weight written with full
-round-trip precision.  Edge ids are assigned in line order.
+round-trip precision.  Edge ids are assigned in line order.  Fields are
+whitespace-separated literals of Python's ``int()`` (ids and counts) or
+``float()`` (weights); ``1 <= node_count <= 2 * edge_count + 1``; only
+blank lines may follow the edges.  The first bad line is reported.
 
 Random graph generation
 -----------------------
@@ -37,7 +40,6 @@ platform (and in any language with a PCG64 implementation).
 from __future__ import annotations
 
 import io
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
@@ -52,6 +54,36 @@ class GraphFormatError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+class _EdgeError(ValueError):
+    """``args`` are the index and message from :func:`_first_bad_edge`."""
+
+    def __str__(self) -> str:
+        return "edge {}: {}".format(*self.args)
+
+
+def _first_bad_edge(node_count: int, u, v, w) -> tuple[int, str] | None:
+    """Index and message of the first edge that breaks a rule, or None.
+
+    The rules, in the order an edge is checked against them: both ids in
+    ``[0, node_count)``, no self-loop, ``u < v``, a finite nonnegative
+    weight, and a pair no lower edge id already has.
+    """
+    repeat = np.ones(len(u), dtype=bool)
+    repeat[np.unique(u * node_count + v, return_index=True)[1]] = False
+    rules = (
+        ((u < 0) | (u >= node_count) | (v < 0) | (v >= node_count), "node id out of range [0, {n})"),
+        (u == v, "self-loop at node {u}"),
+        (u > v, "endpoints must satisfy u < v, got {u} > {v}"),
+        (~(np.isfinite(w) & (w >= 0)), "weight must be finite and >= 0, got {w!r}"),
+        (repeat, "duplicate edge ({u}, {v})"),
+    )
+    firsts = [int(bad.argmax()) if bad.any() else len(u) for bad, _ in rules]
+    i = min(firsts)
+    if i == len(u):
+        return None
+    return i, rules[firsts.index(i)][1].format(n=node_count, u=u[i], v=v[i], w=float(w[i]))
 
 
 class Graph:
@@ -81,16 +113,9 @@ class Graph:
         w = np.ascontiguousarray(edge_weight, dtype=np.float64)
         if not (u.ndim == v.ndim == w.ndim == 1 and len(u) == len(v) == len(w)):
             raise ValueError("edge arrays must be 1-d and of equal length")
-        if len(u):
-            if u.min() < 0 or v.max() >= node_count:
-                raise ValueError("edge endpoint out of range")
-            if (u >= v).any():
-                raise ValueError("edges must be stored with u < v (no self-loops)")
-            if not np.isfinite(w).all() or w.min() < 0:
-                raise ValueError("weights must be finite and >= 0")
-            keys = u * node_count + v
-            if len(np.unique(keys)) != len(keys):
-                raise ValueError("duplicate edges")
+        bad = _first_bad_edge(node_count, u, v, w)
+        if bad is not None:
+            raise _EdgeError(*bad)
         self.node_count = int(node_count)
         self.edge_u = u
         self.edge_v = v
@@ -190,23 +215,29 @@ def generate_graph(config: GeneratorConfig) -> Graph:
     return Graph(n, lo, hi, weights)
 
 
+def _component_labels(graph: Graph) -> tuple[np.ndarray, int]:
+    """Per-node component labels, numbered by smallest node, and the component count."""
+    indptr = graph._indptr.tolist()
+    adj = graph._adj_node.tolist()
+    labels = [-1] * graph.node_count
+    count = 0
+    for start in range(graph.node_count):
+        if labels[start] < 0:
+            labels[start] = count
+            stack = [start]
+            while stack:
+                node = stack.pop()
+                for t in adj[indptr[node] : indptr[node + 1]]:
+                    if labels[t] < 0:
+                        labels[t] = count
+                        stack.append(t)
+            count += 1
+    return np.array(labels, dtype=np.int32), count
+
+
 def is_connected(graph: Graph) -> bool:
-    """True iff breadth-first search from node 0 reaches every node."""
-    n = graph.node_count
-    seen = bytearray(n)
-    seen[0] = 1
-    reached = 1
-    queue = deque([0])
-    indptr = graph._indptr
-    adj = graph._adj_node
-    while queue:
-        u = queue.popleft()
-        for t in adj[indptr[u] : indptr[u + 1]].tolist():
-            if not seen[t]:
-                seen[t] = 1
-                reached += 1
-                queue.append(t)
-    return reached == n
+    """True iff the graph has one connected component."""
+    return _component_labels(graph)[1] == 1
 
 
 def save_graph(graph: Graph, dest: str | Path | TextIO) -> None:
@@ -230,8 +261,32 @@ def dumps_graph(graph: Graph) -> str:
     return buf.getvalue()
 
 
+def _edge_columns(lines: list[str]):
+    """``(u, v, weight)`` arrays of the lines before the first one that does
+    not parse, and its index; of all lines, and None, when every line parses."""
+    u, v, w = np.empty(len(lines), np.int64), np.empty(len(lines), np.int64), np.empty(len(lines))
+    for lo in range(0, len(lines), 1 << 16):  # blocks bound the live token strings
+        block = lines[lo : lo + (1 << 16)]
+        tokens = " | ".join([*block, ""]).split()
+        try:
+            # "|" ends each line and parses as no number, so with four tokens
+            # a line, all fields parse only if every line has three
+            if len(tokens) == 4 * len(block):
+                u[lo : lo + len(block)] = [*map(int, tokens[0::4])]
+                v[lo : lo + len(block)] = [*map(int, tokens[1::4])]
+                w[lo : lo + len(block)] = [*map(float, tokens[2::4])]
+                continue
+        except (ValueError, OverflowError):  # a token is no number, or an id outside int64
+            pass
+        if len(block) == 1:
+            return u[:lo], v[:lo], w[:lo], lo
+        bad = lo + next(i for i, line in enumerate(block) if _edge_columns([line])[3] is not None)
+        return (*_edge_columns(lines[:bad])[:3], bad)
+    return u, v, w, None
+
+
 def load_graph(source: str | Path | TextIO) -> Graph:
-    """Parse a graph file, raising :class:`GraphFormatError` with a line number."""
+    """Parse a graph file, raising :class:`GraphFormatError` at its first bad line."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_graph(fh)
@@ -246,50 +301,27 @@ def load_graph(source: str | Path | TextIO) -> Graph:
         node_count, edge_count = int(header[0]), int(header[1])
     except ValueError:
         raise GraphFormatError(1, f"non-integer header {lines[0]!r}") from None
-    if node_count < 1:
-        raise GraphFormatError(1, f"node_count must be >= 1, got {node_count}")
     if edge_count < 0:
         raise GraphFormatError(1, f"edge_count must be >= 0, got {edge_count}")
-    # checked before allocating, so a huge edge_count cannot size the arrays
+    # checked before allocating, so the header alone cannot size an array
+    if not 1 <= node_count <= 2 * edge_count + 1:
+        raise GraphFormatError(1, f"node_count must be in [1, 2 * edge_count + 1], got {node_count}")
     if edge_count > len(lines) - 1:
         raise GraphFormatError(
             len(lines) + 1, f"unexpected end of file, expected {edge_count} edge lines"
         )
 
-    edge_u = np.empty(edge_count, dtype=np.int64)
-    edge_v = np.empty(edge_count, dtype=np.int64)
-    edge_weight = np.empty(edge_count, dtype=np.float64)
-    seen: set[int] = set()
-    for e in range(edge_count):
-        line_no = e + 2
-        parts = lines[e + 1].split()
-        if len(parts) != 3:
-            raise GraphFormatError(line_no, f"expected '<u> <v> <weight>', got {lines[e + 1]!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError:
-            raise GraphFormatError(line_no, f"could not parse {lines[e + 1]!r}") from None
-        if not 0 <= u < node_count or not 0 <= v < node_count:
-            raise GraphFormatError(line_no, f"node id out of range [0, {node_count})")
-        if u == v:
-            raise GraphFormatError(line_no, f"self-loop at node {u}")
-        if u > v:
-            raise GraphFormatError(line_no, f"endpoints must satisfy u < v, got {u} > {v}")
-        if not np.isfinite(w) or w < 0:
-            raise GraphFormatError(line_no, f"weight must be finite and >= 0, got {parts[2]}")
-        key = u * node_count + v
-        if key in seen:
-            raise GraphFormatError(line_no, f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        edge_u[e] = u
-        edge_v[e] = v
-        edge_weight[e] = w
-
+    *columns, bad_line = _edge_columns(lines[1 : edge_count + 1])
+    try:  # a line before an unparsable one may break an edge rule first
+        graph = Graph(node_count, *columns)
+    except _EdgeError as err:
+        raise GraphFormatError(err.args[0] + 2, err.args[1]) from None
+    if bad_line is not None:
+        raise GraphFormatError(bad_line + 2, f"expected '<u> <v> <weight>', got {lines[bad_line + 1]!r}")
     for extra in range(edge_count + 1, len(lines)):
         if lines[extra].strip():
             raise GraphFormatError(extra + 1, "trailing content after declared edges")
-    return Graph(node_count, edge_u, edge_v, edge_weight)
+    return graph
 
 
 def loads_graph(text: str) -> Graph:

@@ -23,7 +23,10 @@ filter's hash count.  Both solvers are pure functions of their inputs
 and may run concurrently over a shared graph.
 
 Results carry the selected edges as a bit array indexed by edge id, from
-which the full tree is recoverable with :func:`recover_edges`.
+which the full tree is recoverable with :func:`recover_edges`.  The cost
+is the float sum of the selected weights in selection order; finite
+weights whose sum exceeds the float range give ``total_cost == inf``,
+and the tree is unaffected, since only weights are compared.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Pixels become graph nodes (id ``row * width + col``); every pair of
 8-neighbourhood-adjacent pixels contributes one undirected edge weighted
 by the squared RGB distance ``(dR)^2 + (dG)^2 + (dB)^2``.  Segmentation
 builds the MST with either solver, discards selected edges strictly
-heavier than the threshold, and labels the surviving connected
-components by breadth-first search in ascending smallest-node order.
+heavier than the threshold, and labels the connected components of the
+pixel graph of the surviving edges in ascending smallest-node order.
 Pixels the filter-backed solver failed to span end up as singleton
 components.
 
@@ -22,15 +22,14 @@ the image.
 from __future__ import annotations
 
 import io
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
-from .graph import Graph
-from .mst import MstResult, prim_baseline, prim_bloom
+from .graph import Graph, _component_labels
+from .mst import prim_baseline, prim_bloom
 
 
 class PpmFormatError(ValueError):
@@ -113,43 +112,11 @@ def segment(
         result = prim_bloom(graph, 0, epsilon=epsilon, hash_seed=hash_seed)
     else:
         raise ValueError(f"solver must be 'baseline' or 'bloom', got {solver!r}")
-    labels, count = _label_components(graph, result, threshold)
+    ids = np.fromiter(result.edge_bits.iter_set(), dtype=np.int64)
+    ids = ids[graph.edge_weight[ids] <= threshold]
+    forest = Graph(graph.node_count, graph.edge_u[ids], graph.edge_v[ids], graph.edge_weight[ids])
+    labels, count = _component_labels(forest)
     return SegmentationResult(labels.reshape(image.height, image.width), count)
-
-
-def _label_components(
-    graph: Graph, result: MstResult, threshold: float
-) -> tuple[np.ndarray, int]:
-    n = graph.node_count
-    selected = np.unpackbits(
-        np.frombuffer(result.edge_bits.tobytes(), dtype=np.uint8), bitorder="little"
-    )[: graph.edge_count].astype(bool)
-    kept = selected & (graph.edge_weight <= threshold)
-    ku = graph.edge_u[kept]
-    kv = graph.edge_v[kept]
-
-    src = np.concatenate([ku, kv])
-    dst = np.concatenate([kv, ku])
-    order = np.argsort(src, kind="stable")
-    adj = dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-
-    labels = np.full(n, -1, dtype=np.int32)
-    next_label = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = next_label
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for t in adj[indptr[u] : indptr[u + 1]].tolist():
-                if labels[t] < 0:
-                    labels[t] = next_label
-                    queue.append(t)
-        next_label += 1
-    return labels, next_label
 
 
 def _read_source(source: str | Path | bytes | BinaryIO) -> bytes:

@@ -2,11 +2,15 @@ import pytest
 
 from bloomprim import (
     CSV_HEADER,
+    GeneratorConfig,
     baseline_set_bytes,
+    generate_graph,
+    prim_bloom,
     run_bench,
     run_trial,
 )
 from bloomprim.bench import run_seed_for
+from oracles import induced_kruskal, spanned_nodes
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +28,12 @@ class TestRunTrial:
             trial.baseline_edge_count - trial.bloom_edge_count
         )
         assert 0.0 <= trial.error_rate <= 1.0
-        assert trial.bloom_cost <= trial.baseline_cost * (1 + 1e-9)
+        # the filter tree may cost more than the exact one, but is minimal on its nodes
+        g = generate_graph(GeneratorConfig(node_count=200, seed=5))
+        bloom = prim_bloom(g, 0, hash_seed=5)
+        cost, edges = induced_kruskal(g, spanned_nodes(bloom, g))
+        assert set(bloom.edge_bits.iter_set()) == edges
+        assert trial.bloom_cost == bloom.total_cost == pytest.approx(cost, rel=1e-9)
         assert trial.baseline_bytes == baseline_set_bytes(200)
 
     def test_deterministic(self):

@@ -33,6 +33,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(2, [0], [2], [1.0])
 
+    def test_error_names_the_first_bad_edge(self):
+        # edge 1 is a self-loop, edge 2 both reversed and a negative weight
+        with pytest.raises(ValueError, match=r"^edge 1: self-loop at node 1$"):
+            Graph(3, [0, 1, 2, 0], [1, 1, 0, 1], [1.0, 1.0, -1.0, 1.0])
+
     def test_adjacency_mirrors_edges(self, triangle):
         nodes, weights, edge_ids = triangle.adjacent(1)
         assert sorted(zip(nodes, weights, edge_ids)) == [(0, 1.0, 0), (2, 2.0, 1)]
@@ -130,6 +135,11 @@ class TestFileFormat:
             ("3 2\n0 1 0.5\n0 1 0.7\n", 3),  # duplicate
             ("2 1\n0 1 0.5\ngarbage\n", 3),  # trailing content
             ("2 1\n0 1\n", 2),  # wrong field count
+            ("3 2\n0 1\n1 2 0.5 9\n", 2),  # 2 + 4 fields: 6 tokens, misaligned
+            ("4 3\n0 1 0.5\n2 1 0.5\n0 1 0.7\n", 3),  # reversed before duplicate
+            ("4 3\n0 1 0.5\n0 1 0.7\n0 9 0.5\n", 3),  # duplicate before out of range
+            ("2 1\n0 1 inf\n", 2),
+            ("3 2\n0 1 0.5\n1 2 x\n", 3),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line):
@@ -137,6 +147,36 @@ class TestFileFormat:
             loads_graph(text)
         assert exc_info.value.line_number == line
         assert f"line {line}" in str(exc_info.value)
+
+    def test_line_numbers_across_parse_blocks(self):
+        # more edge lines than the parser tokenises at once (65,536)
+        n = 70_000
+        g = Graph(n, np.arange(n - 1), np.arange(1, n), np.full(n - 1, 0.5))
+        lines = dumps_graph(g).splitlines()
+        assert loads_graph("\n".join(lines)) == g
+        for edits, line in (
+            ({66_000: "0 1"}, 66_000),  # unparsable in the second block
+            ({66_000: "0 1", 50_000: lines[1]}, 50_000),  # a duplicate before it wins
+            ({66_000: "0 1", 3: "0 1"}, 3),
+        ):
+            broken = lines.copy()
+            for number, text in edits.items():
+                broken[number - 1] = text
+            with pytest.raises(GraphFormatError) as exc_info:
+                loads_graph("\n".join(broken))
+            assert exc_info.value.line_number == line
+
+    def test_node_count_may_reach_twice_edge_count_plus_one(self):
+        assert loads_graph("1 0").node_count == 1
+        assert loads_graph("3 1\n0 1 0.5").node_count == 3
+        with pytest.raises(GraphFormatError, match="line 1"):
+            loads_graph("4 1\n0 1 0.5")
+
+    def test_python_number_literals_accepted(self):
+        g = loads_graph("1_1 5\n0 1 1_0.5\n١ 2 0.5\n2 ３ 1e-3\n3 4 +0.5\n0 10 .5\n")
+        assert g.edge_u.tolist() == [0, 1, 2, 3, 0]
+        assert g.edge_v.tolist() == [1, 2, 3, 4, 10]
+        assert g.edge_weight.tolist() == [10.5, 0.5, 1e-3, 0.5, 0.5]
 
     def test_blank_trailing_lines_allowed(self):
         g = loads_graph("2 1\n0 1 0.5\n\n\n")

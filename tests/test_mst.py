@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from bloomprim import (
     ExactSet,
     GeneratorConfig,
+    Graph,
     generate_graph,
     prim_baseline,
     prim_bloom,
@@ -47,6 +50,13 @@ class TestBaseline:
             prim_baseline(triangle, 3)
         with pytest.raises(ValueError):
             prim_baseline(triangle, -1)
+
+    def test_cost_overflow_gives_inf_with_the_right_tree(self):
+        # every weight is finite, but the sum of the two cheapest is not
+        g = Graph(3, [0, 0, 1], [1, 2, 2], [1e308, 1.5e308, 1.2e308])
+        for result in (prim_baseline(g, 0), prim_bloom(g, 0)):
+            assert result.total_cost == math.inf
+            assert list(result.edge_bits.iter_set()) == [0, 2]
 
 
 class TestBloomVariant:
