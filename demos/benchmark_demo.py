@@ -25,7 +25,8 @@ print(f"average reduction : {report.average_reduction_percent:.2f}%")
 print(f"average error     : {report.average_error_percent:.3f}%")
 
 # The records carry the per-size aggregates; the raw trials are kept
-# too, e.g. to check that the filter variant never overshoots the
-# exact tree cost.
-assert all(t.bloom_cost <= t.baseline_cost for t in report.trials)
-print("filter-variant cost never exceeded the exact cost")
+# too.  A filter tree spans only the nodes the filter let through and is
+# their MST, so it can cost more than the exact tree: a dropped node's
+# neighbours may be joined over dearer edges.
+dearer = sum(t.bloom_cost > t.baseline_cost for t in report.trials)
+print(f"dearer filter tree: {dearer} of {len(report.trials)} trials")

@@ -28,6 +28,9 @@ before it multiplies,
 
 which gives the same bits and stays below ``hash_count * bit_count``.
 Filters are then bit-identical across platforms and languages.
+:meth:`BloomFilter.contains_many` is that port in numpy ``uint64``
+words: it probes a whole array of keys in one call and answers exactly
+as ``contains`` does key by key.
 """
 
 from __future__ import annotations
@@ -35,19 +38,36 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bitset import BitArray
 
 _MASK64 = (1 << 64) - 1
 # tweak constants: golden-ratio gamma and the second xxhash64 prime
 _SEED_TWEAK_LOW = 0x9E3779B97F4A7C15
 _SEED_TWEAK_HIGH = 0xC2B2AE3D27D4EB4F
+_MIX_MUL_1 = 0xBF58476D1CE4E5B9
+_MIX_MUL_2 = 0x94D049BB133111EB
 
 
 def _mix64(z: int) -> int:
     # splitmix64 finalizer (Stafford mix 13): a full-avalanche permutation of 64-bit words
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_MUL_1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_MUL_2) & _MASK64
     return z ^ (z >> 31)
+
+
+_W3, _W7, _W27, _W30, _W31 = (np.uint64(c) for c in (3, 7, 27, 30, 31))
+_W_MUL_1, _W_MUL_2 = np.uint64(_MIX_MUL_1), np.uint64(_MIX_MUL_2)
+
+
+def _mix64_words(z: np.ndarray) -> None:
+    # _mix64 in place on uint64 words, whose arithmetic wraps modulo 2**64
+    z ^= z >> _W30
+    z *= _W_MUL_1
+    z ^= z >> _W27
+    z *= _W_MUL_2
+    z ^= z >> _W31
 
 
 def _seed_words(seed: int) -> tuple[int, int]:
@@ -113,7 +133,8 @@ class BloomFilter:
     all writes complete.
     """
 
-    __slots__ = ("params", "bits", "inserted_count", "hash_seed", "_seed_low", "_seed_high")
+    __slots__ = ("params", "bits", "inserted_count", "hash_seed", "_seed_low", "_seed_high",
+                 "_seed_lanes", "_probe_steps")
 
     def __init__(self, params: BloomParams, hash_seed: int = 0):
         self.params = params
@@ -121,6 +142,8 @@ class BloomFilter:
         self.bits = BitArray(params.bit_count)
         self.inserted_count = 0
         self._seed_low, self._seed_high = _seed_words(hash_seed)
+        self._seed_lanes = np.array([[self._seed_low], [self._seed_high]], dtype=np.uint64)
+        self._probe_steps = np.arange(params.hash_count, dtype=np.uint64)[:, None]
 
     @classmethod
     def for_capacity(
@@ -143,16 +166,44 @@ class BloomFilter:
 
     def contains(self, key: int) -> bool:
         """True if all probe bits for ``key`` are set (may be a false positive)."""
-        k = key & _MASK64
-        h1 = _mix64(k ^ self._seed_low)
-        h2 = _mix64(k ^ self._seed_high)
+        # The filter solver's hottest call: _mix64 is inlined with literal
+        # constants, and h2 is mixed only once probe 0 hits.  idx steps by
+        # h2 mod m, which keeps it the documented (h1 mod m + i * (h2 mod m)) mod m.
+        k = key & 0xFFFFFFFFFFFFFFFF
         m = self.params.bit_count
         buf = self.bits._buf
-        for i in range(self.params.hash_count):
-            idx = (h1 + i * h2) % m
-            if not buf[idx >> 3] & (1 << (idx & 7)):
+        z = k ^ self._seed_low
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+        idx = (z ^ z >> 31) % m
+        if not buf[idx >> 3] >> (idx & 7) & 1:
+            return False
+        z = k ^ self._seed_high
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+        step = (z ^ z >> 31) % m
+        for _ in range(self.params.hash_count - 1):
+            idx += step
+            if idx >= m:
+                idx -= m
+            if not buf[idx >> 3] >> (idx & 7) & 1:
                 return False
         return True
+
+    def contains_many(self, keys: np.ndarray) -> np.ndarray:
+        """``contains`` of each key in an integer array, as a bool array.
+
+        Keys are read modulo 2**64, as ``contains`` reads them.
+        """
+        m = np.uint64(self.params.bit_count)
+        z = self._seed_lanes ^ np.asarray(keys).astype(np.uint64)  # rows mix to h1, h2
+        _mix64_words(z)
+        z %= m
+        idx = self._probe_steps * z[1]  # row i: (h1 mod m + i * (h2 mod m)) mod m
+        idx += z[0]
+        idx %= m
+        buf = np.frombuffer(self.bits._buf, dtype=np.uint8)
+        return (buf[idx >> _W3] >> (idx & _W7) & 1).all(axis=0)
 
     __contains__ = contains
 

@@ -12,10 +12,22 @@ differ only in the visited set it probes:
   more than the true MST: a skipped node's neighbours can be joined
   over dearer edges.
 
-Frontier entries are ``(weight, edge_id, sink_node)`` tuples, so the
-heap orders by weight with the global edge id as a deterministic
-tie-break.  The start node is marked visited before the main loop, which
-keeps frontier edges pointing back at it from being selected.
+Frontier entries are single ints ``key = rank << bits | sink``:
+``rank`` is the edge's position in one stable argsort of the edge
+weights, so equal weights fall back to the edge id, and ``bits =
+max(1, (node_count - 1).bit_length())`` leaves room for the sink node.
+An edge enters the frontier only from the endpoint that reaches it first
+(the other endpoint is then visited, and a visited set never forgets a
+node), so each rank is pushed at most once and keys pop in exactly
+``(weight, edge_id, sink)`` order, ``-0.0`` and ``0.0`` comparing equal
+as floats do.  A pop decodes only the sink for the visited probe; the
+edge id and weight are read back on accepted pops alone.  Keys stay
+below ``edge_count << bits < 2 * edge_count * node_count``, so they fit
+in int64 while ``edge_count * node_count < 2**62``; a connected graph
+would need over 2 * 10**9 edges, whose arrays alone take ~150 GB.
+
+The start node is marked visited before the main loop, which keeps
+frontier edges pointing back at it from being selected.
 
 The baseline runs in O(|E| log |V|); the filter variant additionally
 hashes on every membership check, for O(k |E| log |V|) with k the
@@ -33,6 +45,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bitset import BitArray
 from .bloom import BloomFilter
@@ -65,41 +79,65 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
     """Grow a tree from ``start``, skipping every sink ``in visited``.
 
     ``visited`` is any object with ``add`` and ``in`` over int keys; the
-    start node and each selected sink are added to it.
+    start node and each selected sink are added to it.  If it also has
+    ``contains_many`` (a bool array for an int array, as
+    :meth:`BloomFilter.contains_many`), the sinks of each expansion are
+    probed with one call to it instead of one ``in`` each; nothing is
+    added between those probes, so the answers and the probe count are
+    the same.
     """
-    if not 0 <= start < graph.node_count:
-        raise ValueError(f"start node {start} out of range [0, {graph.node_count})")
+    node_count = graph.node_count
+    if not 0 <= start < node_count:
+        raise ValueError(f"start node {start} out of range [0, {node_count})")
     add = visited.add
     add(start)
     edge_bits = BitArray(graph.edge_count)
     total_cost = 0.0
     selected = 0
     spanned = 1
-    node_count = graph.node_count
-    heap: list[tuple[float, int, int]] = []
+    bits = max(1, (node_count - 1).bit_length())
+    mask = (1 << bits) - 1
+    order = np.argsort(graph.edge_weight, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) << bits
+    weight = graph.edge_weight
+    indptr = graph._indptr
+    adj_node = graph._adj_node
+    adj_edge = graph._adj_edge
+    heap: list[int] = []
     push = heapq.heappush
     pop = heapq.heappop
 
-    nodes, weights, edge_ids = graph.adjacent(start)
-    for node, weight, edge_id in zip(nodes, weights, edge_ids):
-        if node not in visited:
-            push(heap, (weight, edge_id, node))
+    probe_many = getattr(visited, "contains_many", None)
 
-    while heap:
-        weight, edge_id, node = pop(heap)
-        if node in visited:
-            continue
+    node = start
+    while True:
+        lo = indptr[node]
+        hi = indptr[node + 1]
+        sinks = adj_node[lo:hi]
+        keys = rank[adj_edge[lo:hi]] | sinks
+        if probe_many is None:
+            for key in keys.tolist():
+                if (key & mask) not in visited:
+                    push(heap, key)
+        else:
+            for key in keys[~probe_many(sinks)].tolist():
+                push(heap, key)
+        while heap:
+            key = pop(heap)
+            node = key & mask
+            if node not in visited:
+                break
+        else:
+            break
         add(node)
-        total_cost += weight
+        edge_id = int(order[key >> bits])
+        total_cost += float(weight[edge_id])
         selected += 1
         spanned += 1
         edge_bits.set(edge_id)
         if spanned == node_count:
             break
-        nodes, weights, edge_ids = graph.adjacent(node)
-        for nxt, nxt_weight, nxt_edge in zip(nodes, weights, edge_ids):
-            if nxt not in visited:
-                push(heap, (nxt_weight, nxt_edge, nxt))
 
     return MstResult(total_cost, edge_bits, selected, spanned)
 

@@ -14,9 +14,12 @@ south-east, then south-west, giving ``(W-1)*H + W*(H-1) + 2*(W-1)*(H-1)``
 edges for a ``W x H`` image.
 
 Supported image files are portable pixmaps with maxval 255, binary
-(``P6``) or plain (``P3``).  ``save_labels`` colors each label from a
-seeded random palette and writes a ``label_count=<k>`` sidecar next to
-the image.
+(``P6``) or plain (``P3``).  Bytes after a ``P6`` payload are ignored,
+since Netpbm lets a next image follow; a ``P3`` file must end after its
+samples.  Header dimensions size nothing: a file shorter than its header
+promises is rejected as truncated before any pixel buffer is built.
+``save_labels`` colors each label from a seeded random palette and
+writes a ``label_count=<k>`` sidecar next to the image.
 """
 
 from __future__ import annotations
@@ -191,6 +194,8 @@ def load_ppm(source: str | Path | bytes | BinaryIO) -> PixelImage:
             flat = np.array([int(v) for v in values], dtype=np.int64)
         except ValueError:
             raise PpmFormatError("non-integer sample in plain pixmap") from None
+        except OverflowError:
+            raise PpmFormatError("sample out of range [0, 255]") from None
         if flat.min() < 0 or flat.max() > 255:
             raise PpmFormatError("sample out of range [0, 255]")
         flat = flat.astype(np.uint8)

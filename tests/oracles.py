@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
-from bloomprim import BloomFilter, Graph
+from bloomprim import BitArray, BloomFilter, Graph, MstResult
 
 
 class UnionFind:
@@ -69,6 +71,49 @@ def spanned_nodes(result, graph: Graph, start: int = 0) -> set[int]:
     """The start node plus every endpoint of the result's selected edges."""
     ids = list(result.edge_bits.iter_set())
     return {start, *graph.edge_u[ids].tolist(), *graph.edge_v[ids].tolist()}
+
+
+def tuple_prim(graph: Graph, start: int, visited) -> MstResult:
+    """Prim over a heap of ``(weight, edge_id, sink)`` tuples.
+
+    The solver loop as it was before frontier entries became int keys,
+    kept as the reference for their pop order.
+    """
+    if not 0 <= start < graph.node_count:
+        raise ValueError(f"start node {start} out of range [0, {graph.node_count})")
+    add = visited.add
+    add(start)
+    edge_bits = BitArray(graph.edge_count)
+    total_cost = 0.0
+    selected = 0
+    spanned = 1
+    node_count = graph.node_count
+    heap: list[tuple[float, int, int]] = []
+    push = heapq.heappush
+    pop = heapq.heappop
+
+    nodes, weights, edge_ids = graph.adjacent(start)
+    for node, weight, edge_id in zip(nodes, weights, edge_ids):
+        if node not in visited:
+            push(heap, (weight, edge_id, node))
+
+    while heap:
+        weight, edge_id, node = pop(heap)
+        if node in visited:
+            continue
+        add(node)
+        total_cost += weight
+        selected += 1
+        spanned += 1
+        edge_bits.set(edge_id)
+        if spanned == node_count:
+            break
+        nodes, weights, edge_ids = graph.adjacent(node)
+        for nxt, nxt_weight, nxt_edge in zip(nodes, weights, edge_ids):
+            if nxt not in visited:
+                push(heap, (nxt_weight, nxt_edge, nxt))
+
+    return MstResult(total_cost, edge_bits, selected, spanned)
 
 
 def is_forest(edges: list[tuple[int, int, float]], node_count: int) -> bool:

@@ -203,6 +203,13 @@ class TestSegment:
         assert code == 2
         assert "maxval" in err
 
+    def test_sample_beyond_int64_is_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"P3\n1 1\n255\n99999999999999999999999 2 3")
+        code, _, err = run_cli(capsys, "segment", str(bad), "--out", str(tmp_path / "o.ppm"))
+        assert code == 2
+        assert "sample out of range" in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

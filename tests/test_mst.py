@@ -1,17 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 
 from bloomprim import (
+    BloomFilter,
     ExactSet,
     GeneratorConfig,
     Graph,
+    PixelImage,
     generate_graph,
+    image_to_graph,
     prim_baseline,
     prim_bloom,
     recover_edges,
 )
-from oracles import induced_kruskal, is_forest, kruskal, spanned_nodes
+from oracles import induced_kruskal, is_forest, kruskal, spanned_nodes, tuple_prim
 
 
 class TestBaseline:
@@ -157,3 +161,82 @@ def test_edge_weight_ties_broken_by_edge_id():
     result = prim_baseline(g, 0)
     assert list(result.edge_bits.iter_set()) == [0, 1, 2]
     assert result.total_cost == 3.0
+
+
+def _tie_graphs() -> list[Graph]:
+    graphs = [generate_graph(GeneratorConfig(node_count=200, seed=seed)) for seed in range(20)]
+    g = graphs[0]
+    graphs.append(Graph(g.node_count, g.edge_u, g.edge_v, np.full(g.edge_count, 0.5)))
+    signed = np.where(np.arange(g.edge_count) % 3 == 0, -0.0, 0.0)
+    mixed = np.where(g.edge_weight < 0.6, signed, g.edge_weight)
+    graphs.append(Graph(g.node_count, g.edge_u, g.edge_v, mixed))
+    # 64x64 test card: flat blocks, a disc and a noisy band, so most weights are 0
+    rng = np.random.Generator(np.random.PCG64(3))
+    yy, xx = np.mgrid[0:64, 0:64]
+    card = np.zeros((64, 64, 3), dtype=np.int64)
+    card[:, :, 0] = yy // 8 * 30
+    card[:, :, 1] = xx // 16 * 50
+    card[(xx - 20) ** 2 + (yy - 20) ** 2 < 100] = (230, 210, 60)
+    card[40:48] += rng.integers(0, 3, size=(8, 64, 3))
+    graphs.append(image_to_graph(PixelImage(card.astype(np.uint8))))
+    return graphs
+
+
+def test_int_key_frontier_pops_in_tuple_order():
+    """Both solvers equal the tuple-heap loop bit for bit, ties included."""
+
+    def outcome(result):
+        return (
+            result.total_cost.hex(),
+            result.edge_bits,
+            result.selected_edge_count,
+            result.spanned_node_count,
+        )
+
+    graphs = _tie_graphs()
+    assert (graphs[-1].edge_weight == 0).mean() > 0.5
+    for i, g in enumerate(graphs):
+        assert outcome(prim_baseline(g)) == outcome(tuple_prim(g, 0, set()))
+        for epsilon in (0.01, 0.3):
+            filt = BloomFilter.for_capacity(g.node_count, epsilon, hash_seed=i)
+            got = prim_bloom(g, 0, epsilon=epsilon, hash_seed=i)
+            assert outcome(got) == outcome(tuple_prim(g, 0, filt))
+
+
+class _InOnly:
+    """A visited set with ``add`` and ``in`` alone, counting its probes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.probes = 0
+
+    def add(self, key):
+        self.inner.add(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return key in self.inner
+
+
+class _Batched(_InOnly):
+    """The same, with ``contains_many``, counting each key it is asked about."""
+
+    def contains_many(self, keys):
+        self.probes += len(keys)
+        return self.inner.contains_many(keys)
+
+
+def test_batched_probes_keep_answers_and_probe_count():
+    """A filter probed a block at a time gives the tree and the probes of key by key."""
+    for seed, epsilon in ((0, 0.01), (1, 0.3), (2, 0.3)):
+        g = generate_graph(GeneratorConfig(node_count=500, seed=seed))
+        one = _InOnly(BloomFilter.for_capacity(g.node_count, epsilon, hash_seed=seed))
+        many = _Batched(BloomFilter.for_capacity(g.node_count, epsilon, hash_seed=seed))
+        a = prim_bloom(g, 0, visited=one)
+        b = prim_bloom(g, 0, visited=many)
+        assert (a.total_cost.hex(), a.edge_bits, a.spanned_node_count) == (
+            b.total_cost.hex(), b.edge_bits, b.spanned_node_count)
+        assert one.probes == many.probes > 0
+        assert one.inner.bits == many.inner.bits
+        if epsilon == 0.3:  # false positives were met on both paths
+            assert a.spanned_node_count < g.node_count

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,11 +161,32 @@ class TestPpmIo:
             b"P6\n2 2\n",  # truncated header
             b"P3\n2 1\n255\n10 20 30 40 50\n",  # missing sample
             b"P3\n1 1\n255\n10 20 300\n",  # sample out of range
+            b"P3\n1 1\n255\n99999999999999999999999 2 3",  # sample beyond int64
+            b"P6\n100000000000 100000000000\n255\n" + bytes(12),  # huge header
+            b"P3\n100000000000 100000000000\n255\n1 2 3\n",  # huge header
+            b"P3\n2 1\n255\n10 20 30 40 5",  # cut off mid-sample
         ],
     )
     def test_malformed_inputs_rejected(self, data):
         with pytest.raises(PpmFormatError):
             load_ppm(data)
+
+    @pytest.mark.parametrize("magic", [b"P6", b"P3"])
+    def test_huge_header_is_truncated_without_allocating(self, magic):
+        data = magic + b"\n100000000000 100000000000\n255\n" + b"1 2 3 " * 4
+        tracemalloc.start()
+        try:
+            with pytest.raises(PpmFormatError, match="truncated pixel data"):
+                load_ppm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_p6_bytes_after_payload_ignored(self):
+        first = bytes(range(6))
+        data = b"P6\n2 1\n255\n" + first + b"P6\n1 1\n255\n" + bytes(3)
+        assert load_ppm(data).pixels.tobytes() == first
 
     def test_round_trip_random_images(self):
         rng = np.random.Generator(np.random.PCG64(17))
