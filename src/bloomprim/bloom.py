@@ -28,17 +28,12 @@ before it multiplies,
 
 which gives the same bits and stays below ``hash_count * bit_count``.
 Filters are then bit-identical across platforms and languages.
-:meth:`BloomFilter.contains_many` is that port in numpy ``uint64``
-words: it probes a whole array of keys in one call and answers exactly
-as ``contains`` does key by key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bitset import BitArray
 
@@ -55,19 +50,6 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_MUL_1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_MUL_2) & _MASK64
     return z ^ (z >> 31)
-
-
-_W3, _W7, _W27, _W30, _W31 = (np.uint64(c) for c in (3, 7, 27, 30, 31))
-_W_MUL_1, _W_MUL_2 = np.uint64(_MIX_MUL_1), np.uint64(_MIX_MUL_2)
-
-
-def _mix64_words(z: np.ndarray) -> None:
-    # _mix64 in place on uint64 words, whose arithmetic wraps modulo 2**64
-    z ^= z >> _W30
-    z *= _W_MUL_1
-    z ^= z >> _W27
-    z *= _W_MUL_2
-    z ^= z >> _W31
 
 
 def _seed_words(seed: int) -> tuple[int, int]:
@@ -133,8 +115,7 @@ class BloomFilter:
     all writes complete.
     """
 
-    __slots__ = ("params", "bits", "inserted_count", "hash_seed", "_seed_low", "_seed_high",
-                 "_seed_lanes", "_probe_steps")
+    __slots__ = ("params", "bits", "inserted_count", "hash_seed", "_seed_low", "_seed_high")
 
     def __init__(self, params: BloomParams, hash_seed: int = 0):
         self.params = params
@@ -142,8 +123,6 @@ class BloomFilter:
         self.bits = BitArray(params.bit_count)
         self.inserted_count = 0
         self._seed_low, self._seed_high = _seed_words(hash_seed)
-        self._seed_lanes = np.array([[self._seed_low], [self._seed_high]], dtype=np.uint64)
-        self._probe_steps = np.arange(params.hash_count, dtype=np.uint64)[:, None]
 
     @classmethod
     def for_capacity(
@@ -189,21 +168,6 @@ class BloomFilter:
             if not buf[idx >> 3] >> (idx & 7) & 1:
                 return False
         return True
-
-    def contains_many(self, keys: np.ndarray) -> np.ndarray:
-        """``contains`` of each key in an integer array, as a bool array.
-
-        Keys are read modulo 2**64, as ``contains`` reads them.
-        """
-        m = np.uint64(self.params.bit_count)
-        z = self._seed_lanes ^ np.asarray(keys).astype(np.uint64)  # rows mix to h1, h2
-        _mix64_words(z)
-        z %= m
-        idx = self._probe_steps * z[1]  # row i: (h1 mod m + i * (h2 mod m)) mod m
-        idx += z[0]
-        idx %= m
-        buf = np.frombuffer(self.bits._buf, dtype=np.uint8)
-        return (buf[idx >> _W3] >> (idx & _W7) & 1).all(axis=0)
 
     __contains__ = contains
 

@@ -3,7 +3,8 @@
 Edges are stored canonically as ``u < v`` in arrays indexed by edge id;
 adjacency is kept in CSR form so solvers can walk neighbours cheaply.
 Every edge id appears exactly twice across the adjacency lists, once per
-endpoint, with the same weight.
+endpoint; weights are read through the edge id, so the CSR arrays hold
+neighbour and edge ids alone.
 
 Graph file format (UTF-8 text)
 ------------------------------
@@ -101,7 +102,6 @@ class Graph:
         "edge_weight",
         "_indptr",
         "_adj_node",
-        "_adj_weight",
         "_adj_edge",
     )
 
@@ -126,7 +126,6 @@ class Graph:
         edge_ids = np.arange(len(u), dtype=np.int64)
         order = np.argsort(src, kind="stable")
         self._adj_node = np.concatenate([v, u])[order]
-        self._adj_weight = np.concatenate([w, w])[order]
         self._adj_edge = np.concatenate([edge_ids, edge_ids])[order]
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
@@ -142,10 +141,11 @@ class Graph:
             raise IndexError(f"node {node} out of range [0, {self.node_count})")
         lo = self._indptr[node]
         hi = self._indptr[node + 1]
+        edges = self._adj_edge[lo:hi]
         return (
             self._adj_node[lo:hi].tolist(),
-            self._adj_weight[lo:hi].tolist(),
-            self._adj_edge[lo:hi].tolist(),
+            self.edge_weight[edges].tolist(),
+            edges.tolist(),
         )
 
     def degree(self, node: int) -> int:

@@ -26,13 +26,34 @@ below ``edge_count << bits < 2 * edge_count * node_count``, so they fit
 in int64 while ``edge_count * node_count < 2**62``; a connected graph
 would need over 2 * 10**9 edges, whose arrays alone take ~150 GB.
 
+Each node also has a best key, ``best[node]``, the smallest key pushed
+for it so far, kept in an int64 array of 8 bytes per node.  An expansion
+pushes a key only if it is below its sink's best key and the sink is not
+``in visited``, and the push lowers the best key.  A popped key that is
+no longer its sink's best is dropped without probing the visited set;
+only a best key is probed.  Neither rule changes any output.  A
+superseded key pops after the lighter key for the same sink, and that
+lighter key was probed when it popped: either its sink was added then (a
+Bloom filter has no false negatives) or it was rejected (the filter only
+gains bits), so the sink reads as visited by the time the superseded key
+pops, and probing it would skip it.  A key not below its sink's best
+key would be superseded as soon as it was pushed, so leaving it out
+changes nothing either.  The best keys never accept or reject a node:
+the visited set alone does that.  So the tree, the filter's bits and the
+nodes lost to false positives are those of a loop that pushes every
+unvisited sink and probes every pop; only the number of probes falls.
+
 The start node is marked visited before the main loop, which keeps
 frontier edges pointing back at it from being selected.
 
-The baseline runs in O(|E| log |V|); the filter variant additionally
-hashes on every membership check, for O(k |E| log |V|) with k the
-filter's hash count.  Both solvers are pure functions of their inputs
-and may run concurrently over a shared graph.
+Each edge is pushed at most once, so a solve runs in O(|E| log |V|);
+the filter variant also hashes on each probe, at most one per edge end
+and one per pop of a best key, for O(k |E|) hashing with k the filter's
+hash count.  Besides the graph, a
+solve holds the heap, the best keys (8 bytes per node) and two int64
+arrays of one entry per edge for the weight ranks.  Both solvers are
+pure functions of their inputs and may run concurrently over a shared
+graph.
 
 Results carry the selected edges as a bit array indexed by edge id, from
 which the full tree is recoverable with :func:`recover_edges`.  The cost
@@ -79,12 +100,10 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
     """Grow a tree from ``start``, skipping every sink ``in visited``.
 
     ``visited`` is any object with ``add`` and ``in`` over int keys; the
-    start node and each selected sink are added to it.  If it also has
-    ``contains_many`` (a bool array for an int array, as
-    :meth:`BloomFilter.contains_many`), the sinks of each expansion are
-    probed with one call to it instead of one ``in`` each; nothing is
-    added between those probes, so the answers and the probe count are
-    the same.
+    start node and each selected sink are added to it.  ``best[sink]``
+    holds the smallest key pushed for ``sink`` so far: a key no smaller
+    is not pushed, and a popped key that is no longer its sink's best is
+    dropped without a probe.
     """
     node_count = graph.node_count
     if not 0 <= start < node_count:
@@ -101,14 +120,14 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order)) << bits
     weight = graph.edge_weight
-    indptr = graph._indptr
+    indptr = memoryview(graph._indptr)
     adj_node = graph._adj_node
     adj_edge = graph._adj_edge
+    best_keys = np.full(node_count, np.iinfo(np.int64).max, dtype=np.int64)
+    best = memoryview(best_keys)
     heap: list[int] = []
     push = heapq.heappush
     pop = heapq.heappop
-
-    probe_many = getattr(visited, "contains_many", None)
 
     node = start
     while True:
@@ -116,17 +135,15 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
         hi = indptr[node + 1]
         sinks = adj_node[lo:hi]
         keys = rank[adj_edge[lo:hi]] | sinks
-        if probe_many is None:
-            for key in keys.tolist():
-                if (key & mask) not in visited:
-                    push(heap, key)
-        else:
-            for key in keys[~probe_many(sinks)].tolist():
+        for key in keys[keys < best_keys[sinks]].tolist():
+            sink = key & mask
+            if sink not in visited:
+                best[sink] = key
                 push(heap, key)
         while heap:
             key = pop(heap)
             node = key & mask
-            if node not in visited:
+            if key == best[node] and node not in visited:
                 break
         else:
             break

@@ -25,6 +25,7 @@ writes a ``label_count=<k>`` sidecar next to the image.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -156,6 +157,51 @@ def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, pos
 
 
+_P3_BLOCK = 1 << 14  # bytes of samples tokenised at once
+_WHITESPACE_RE = re.compile(rb"\s")  # the six bytes of _WHITESPACE
+
+
+def _plain_samples(data: bytes, start: int, expected: int) -> np.ndarray:
+    """The ``expected`` P3 samples from ``data[start:]`` as one uint8 array.
+
+    Samples are tokenised in blocks of about ``_P3_BLOCK`` bytes, cut at
+    whitespace, so memory beyond the output stays bounded.  The output is
+    allocated only if the bytes present can hold ``expected`` samples (each
+    takes a digit and the whitespace before it).  Errors rank as in a
+    whole-file parse: too few samples, too many, a non-integer sample,
+    then one outside [0, 255].
+    """
+    end = len(data)
+    flat = np.empty(expected, dtype=np.uint8) if expected <= (end - start) // 2 else None
+    count = 0
+    non_integer = out_of_range = False
+    while start < end:
+        cut = _WHITESPACE_RE.search(data, min(start + _P3_BLOCK, end))
+        stop = cut.start() if cut else end
+        tokens = data[start:stop].split()
+        start = stop
+        if count + len(tokens) > expected:
+            raise PpmFormatError("trailing samples after pixel data")
+        if flat is not None and not non_integer:
+            try:
+                values = [int(t) for t in tokens]
+            except ValueError:
+                non_integer = True
+            else:
+                if values and (min(values) < 0 or max(values) > 255):
+                    out_of_range = True
+                else:
+                    flat[count : count + len(values)] = values
+        count += len(tokens)
+    if count < expected:
+        raise PpmFormatError(f"truncated pixel data: wanted {expected} samples, got {count}")
+    if non_integer:
+        raise PpmFormatError("non-integer sample in plain pixmap")
+    if out_of_range:
+        raise PpmFormatError("sample out of range [0, 255]")
+    return flat
+
+
 def load_ppm(source: str | Path | bytes | BinaryIO) -> PixelImage:
     """Read a P6 or P3 portable pixmap with maxval 255."""
     data = _read_source(source)
@@ -183,22 +229,7 @@ def load_ppm(source: str | Path | bytes | BinaryIO) -> PixelImage:
             )
         flat = np.frombuffer(payload, dtype=np.uint8)
     else:
-        values = data[after:].split()
-        if len(values) < expected:
-            raise PpmFormatError(
-                f"truncated pixel data: wanted {expected} samples, got {len(values)}"
-            )
-        if len(values) > expected:
-            raise PpmFormatError("trailing samples after pixel data")
-        try:
-            flat = np.array([int(v) for v in values], dtype=np.int64)
-        except ValueError:
-            raise PpmFormatError("non-integer sample in plain pixmap") from None
-        except OverflowError:
-            raise PpmFormatError("sample out of range [0, 255]") from None
-        if flat.min() < 0 or flat.max() > 255:
-            raise PpmFormatError("sample out of range [0, 255]")
-        flat = flat.astype(np.uint8)
+        flat = _plain_samples(data, after, expected)
     return PixelImage(flat.reshape(height, width, 3).copy())
 
 

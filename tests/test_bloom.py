@@ -129,36 +129,6 @@ class TestFilter:
         f.add(3)
         assert 3 in f
 
-    @pytest.mark.parametrize(
-        "capacity, epsilon", [(1, 0.5), (300, 0.3), (2000, 0.01), (500, 1e-6)]
-    )
-    def test_contains_many_answers_as_contains(self, capacity, epsilon):
-        # added keys, false positives and true negatives alike, keys read mod 2**64
-        f = BloomFilter.for_capacity(capacity, epsilon, hash_seed=capacity)
-        rng = np.random.default_rng(capacity)
-        for key in rng.integers(0, 4 * capacity, size=capacity).tolist():
-            f.add(key)
-        f.add(-1)
-        keys = np.concatenate(
-            [np.arange(-3, 8 * capacity), [2**62, 2**63 - 1, -(2**63)]]
-        ).astype(np.int64)
-        got = f.contains_many(keys)
-        assert got.dtype == bool and got.shape == keys.shape
-        assert got.tolist() == [f.contains(k) for k in keys.tolist()]
-        assert got[keys == -1].all()
-        assert not got.all() or capacity == 1
-
-    def test_contains_many_of_no_keys(self):
-        f = BloomFilter.for_capacity(10, 0.01)
-        assert f.contains_many(np.array([], dtype=np.int64)).shape == (0,)
-
-    def test_contains_many_sees_later_adds(self):
-        f = BloomFilter.for_capacity(100, 0.01, hash_seed=3)
-        keys = np.arange(50)
-        assert not f.contains_many(keys).any()
-        f.add(7)
-        assert f.contains_many(keys)[7]
-
 
 def test_hash_pair_reference_values():
     assert hash_pair(0, 0) == (5197578548964807871, 3981969298629961499)

@@ -146,6 +146,38 @@ class TestPpmIo:
         assert tuple(img.pixels[0, 0]) == (10, 20, 30)
         assert tuple(img.pixels[0, 1]) == (40, 50, 60)
 
+    def test_p3_peak_memory_bounded_by_file_size(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        px = rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8)
+        rows = px.reshape(256, -1).tolist()
+        data = b"P3\n256 256\n255\n" + "\n".join(" ".join(map(str, r)) for r in rows).encode()
+        tracemalloc.start()
+        try:
+            img = load_ppm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(img.pixels, px)
+        assert peak < 4 * len(data)
+
+    @pytest.mark.parametrize(
+        "late, extra, message",
+        [
+            (b"x", b" 1", "trailing samples"),  # too many outranks a bad token
+            (b"x", b"", "non-integer sample"),
+            (b"300", b"", r"sample out of range \[0, 255\]"),
+            (b"", b"", "truncated pixel data: wanted 30000 samples, got 29999"),
+        ],
+    )
+    def test_p3_errors_rank_across_blocks(self, late, extra, message):
+        # a sample out of range early, then a later block holding ``late``
+        samples = [b"7"] * 30_000
+        samples[5] = b"256"
+        samples[-3] = late
+        data = b"P3\n100 100\n255\n" + b" ".join(s for s in samples if s) + extra
+        with pytest.raises(PpmFormatError, match=message):
+            load_ppm(data)
+
     def test_header_comments_allowed(self):
         data = b"P6\n# a comment\n2 1 # trailing\n255\n" + bytes(6)
         img = load_ppm(data)
