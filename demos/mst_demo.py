@@ -2,8 +2,9 @@
 Exact vs filter-backed MST
 ==========================
 
-Generate a random connected graph, solve it with the exact hash-set
-Prim solver and the Bloom-filter variant, and compare the trees.
+Generate a random connected graph, solve it with the exact Prim solver
+(whose per-node best keys are its only visited record) and the
+Bloom-filter variant, and compare the trees.
 """
 
 from bloomprim import (
@@ -25,9 +26,10 @@ baseline = prim_baseline(graph, 0)
 print(f"baseline : cost={baseline.total_cost:10.4f}  "
       f"edges={baseline.selected_edge_count:,}  spans={baseline.spanned_node_count:,}")
 
-# Same greedy loop, but visited nodes live in a Bloom filter sized for
-# node_count keys at a 1% false-positive rate.  A false positive makes
-# the solver skip a node, so the tree can come up slightly short.
+# Same greedy loop, but it also asks a Bloom filter, sized for
+# node_count keys at a 1% false-positive rate, about every node it has
+# not yet accepted.  A "visited" answer there is a false positive that
+# makes the solver skip the node, so the tree can come up slightly short.
 bloom = prim_bloom(graph, 0, epsilon=0.01, hash_seed=42)
 print(f"filtered : cost={bloom.total_cost:10.4f}  "
       f"edges={bloom.selected_edge_count:,}  spans={bloom.spanned_node_count:,}")

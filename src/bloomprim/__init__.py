@@ -1,11 +1,12 @@
 """Memory-efficient minimum spanning trees via Bloom-filter-backed Prim's algorithm.
 
-The package pairs an exact hash-set Prim solver with a variant that
-tracks visited nodes in a Bloom filter and records the tree in a compact
-edge bitmap, plus the supporting pieces: filter sizing and
-false-positive statistics, a seeded random-graph generator, auxiliary
-memory models for both variants, a benchmark sweep, and MST-threshold
-image segmentation over portable pixmaps.
+The package pairs an exact Prim solver, whose per-node best keys double
+as its visited record, with a variant that also consults a Bloom filter
+of visited nodes and records the tree in a compact edge bitmap, plus
+the supporting pieces: filter sizing and false-positive statistics, a
+seeded random-graph generator, auxiliary memory models for both
+variants, a benchmark sweep, and MST-threshold image segmentation over
+portable pixmaps.
 """
 
 from .analysis import (

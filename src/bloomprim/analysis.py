@@ -19,9 +19,11 @@ around the integer rounding in parameter derivation.
 
 Space accounting
 ----------------
-``baseline_set_bytes`` models the dynamic hash set the exact solver uses
-for its visited nodes: capacity starts at 8 slots; an insert that brings
-the fill to at least ``ceil(3/5 * capacity)`` grows the table to the
+``baseline_set_bytes`` models the dynamic hash set that the paper's
+exact solver uses for its visited nodes (this package's exact solver
+allocates none: its per-node best keys double as the visited record,
+see :mod:`bloomprim.mst`): capacity starts at 8 slots; an insert that
+brings the fill to at least ``ceil(3/5 * capacity)`` grows the table to the
 smallest power of two at or above 4x the live count (2x once the live
 count exceeds 50,000); the table costs 16 bytes per slot plus a 216-byte
 header.  ``bloom_variant_bytes`` charges the filter variant for its two
@@ -121,7 +123,11 @@ def edge_error_rate(baseline: MstResult, bloom: MstResult) -> float:
 
 
 def baseline_set_bytes(inserted: int) -> int:
-    """Modeled bytes of the exact solver's visited hash set after ``inserted`` adds."""
+    """Modeled bytes of a visited hash set after ``inserted`` adds.
+
+    This is the paper's exact-solver baseline; :func:`bloomprim.prim_baseline`
+    itself keeps no such set.
+    """
     if inserted < 0:
         raise ValueError(f"inserted must be >= 0, got {inserted}")
     capacity = 8

@@ -1,14 +1,13 @@
 """Prim-style minimum spanning tree solvers.
 
 One greedy frontier expansion, :func:`_prim`, backs both solvers; they
-differ only in the visited set it probes:
+differ only in the filter it consults:
 
-* :func:`prim_baseline` passes an exact hash set and returns the true
-  MST.
-* :func:`prim_bloom` passes a Bloom filter.  A false positive makes the
-  solver skip a node permanently, so its tree may span fewer nodes; it
-  never selects a node twice and never forms a cycle.  The tree is the
-  MST of the subgraph induced by the nodes it spans, which may cost
+* :func:`prim_baseline` consults none and returns the true MST.
+* :func:`prim_bloom` consults a Bloom filter.  A false positive makes
+  the solver skip a node permanently, so its tree may span fewer nodes;
+  it never selects a node twice and never forms a cycle.  The tree is
+  the MST of the subgraph induced by the nodes it spans, which may cost
   more than the true MST: a skipped node's neighbours can be joined
   over dearer edges.
 
@@ -17,43 +16,44 @@ Frontier entries are single ints ``key = rank << bits | sink``:
 weights, so equal weights fall back to the edge id, and ``bits =
 max(1, (node_count - 1).bit_length())`` leaves room for the sink node.
 An edge enters the frontier only from the endpoint that reaches it first
-(the other endpoint is then visited, and a visited set never forgets a
-node), so each rank is pushed at most once and keys pop in exactly
+(the other endpoint is then resolved, see below, and stays so), so each
+rank is pushed at most once and keys pop in exactly
 ``(weight, edge_id, sink)`` order, ``-0.0`` and ``0.0`` comparing equal
-as floats do.  A pop decodes only the sink for the visited probe; the
-edge id and weight are read back on accepted pops alone.  Keys stay
-below ``edge_count << bits < 2 * edge_count * node_count``, so they fit
-in int64 while ``edge_count * node_count < 2**62``; a connected graph
-would need over 2 * 10**9 edges, whose arrays alone take ~150 GB.
+as floats do.  A pop decodes only the sink; the edge id and weight are
+read back on accepted pops alone.  Keys stay below ``edge_count << bits
+< 2 * edge_count * node_count``, so they fit in int64 while
+``edge_count * node_count < 2**62``; a connected graph would need over
+2 * 10**9 edges, whose arrays alone take ~150 GB.
 
-Each node also has a best key, ``best[node]``, the smallest key pushed
-for it so far, kept in an int64 array of 8 bytes per node.  An expansion
-pushes a key only if it is below its sink's best key and the sink is not
-``in visited``, and the push lowers the best key.  A popped key that is
-no longer its sink's best is dropped without probing the visited set;
-only a best key is probed.  Neither rule changes any output.  A
-superseded key pops after the lighter key for the same sink, and that
-lighter key was probed when it popped: either its sink was added then (a
-Bloom filter has no false negatives) or it was rejected (the filter only
-gains bits), so the sink reads as visited by the time the superseded key
-pops, and probing it would skip it.  A key not below its sink's best
-key would be superseded as soon as it was pushed, so leaving it out
-changes nothing either.  The best keys never accept or reject a node:
-the visited set alone does that.  So the tree, the filter's bits and the
-nodes lost to false positives are those of a loop that pushes every
-unvisited sink and probes every pop; only the number of probes falls.
+The visited record is one int64 per node, ``best[node]``: ``-1`` once
+the node is accepted, ``-2`` once it is lost to a false positive, and
+otherwise the smallest key pushed for it so far.  A node is *resolved*
+once it is accepted or lost.  Keys are nonnegative, so an expansion's
+one vectorised compare, ``key < best[sink]``, drops every key to a
+resolved sink and every key no lighter than one already pushed.  A
+popped key that is not its sink's best is dropped.  The filter is asked
+only about unresolved sinks, at push and at the pop of a best key, so
+each "visited" answer is a false positive and marks the node lost.
 
-The start node is marked visited before the main loop, which keeps
-frontier edges pointing back at it from being selected.
+This changes no output from a loop that pushes every sink the filter
+does not hold and probes every pop.  There, a probe of an accepted node
+answers "visited" (a Bloom filter has no false negatives), a lost node
+keeps answering "visited" (the filter only gains bits), and a superseded
+key pops after the lighter key for its sink, by which time the sink is
+resolved.  So the tree, the filter's bits and the lost nodes are the
+same; only probes and pops fall.  The solve stops once every node is
+resolved, since every key left in the heap would then be dropped.  The
+start node is accepted (and added to the filter) before the main loop,
+which keeps frontier edges pointing back at it from being selected.
 
 Each edge is pushed at most once, so a solve runs in O(|E| log |V|);
-the filter variant also hashes on each probe, at most one per edge end
-and one per pop of a best key, for O(k |E|) hashing with k the filter's
-hash count.  Besides the graph, a
-solve holds the heap, the best keys (8 bytes per node) and two int64
-arrays of one entry per edge for the weight ranks.  Both solvers are
-pure functions of their inputs and may run concurrently over a shared
-graph.
+the filter variant also hashes on each probe, at most one per edge and
+one per node, for O(k (|E| + |V|)) hashing with k the filter's hash
+count.  Besides the graph, a solve holds the heap, the best keys (8
+bytes per node), the filter if any, and two int64 arrays of one entry
+per edge for the weight ranks; the exact solve holds no other visited
+structure.  Both solvers are pure functions of their inputs and may run
+concurrently over a shared graph.
 
 Results carry the selected edges as a bit array indexed by edge id, from
 which the full tree is recoverable with :func:`recover_edges`.  The cost
@@ -80,7 +80,8 @@ class MstResult:
 
     ``edge_bits`` has one bit per graph edge; bit ``e`` is set iff edge
     ``e`` was selected.  ``spanned_node_count`` includes the start node,
-    so an exact solve of a connected graph has
+    so ``spanned_node_count == selected_edge_count + 1``, and an exact
+    solve of a connected graph has
     ``selected_edge_count == node_count - 1`` and
     ``spanned_node_count == node_count``.
     """
@@ -97,23 +98,24 @@ ExactSet = set
 
 
 def _prim(graph: Graph, start: int, visited) -> MstResult:
-    """Grow a tree from ``start``, skipping every sink ``in visited``.
+    """Grow a tree from ``start``; ``visited`` is None or a filter to consult.
 
-    ``visited`` is any object with ``add`` and ``in`` over int keys; the
-    start node and each selected sink are added to it.  ``best[sink]``
-    holds the smallest key pushed for ``sink`` so far: a key no smaller
-    is not pushed, and a popped key that is no longer its sink's best is
-    dropped without a probe.
+    ``best[node]`` is the visited record: ``-1`` once ``node`` is
+    accepted, ``-2`` once it is lost, otherwise the smallest key pushed
+    for it.  ``visited``, when given, is any object with ``add`` and
+    ``in`` over int keys; every accepted node is added to it, and it is
+    probed only for nodes that are neither accepted nor lost, so each
+    "visited" answer loses its node.
     """
     node_count = graph.node_count
     if not 0 <= start < node_count:
         raise ValueError(f"start node {start} out of range [0, {node_count})")
-    add = visited.add
-    add(start)
+    if visited is not None:
+        visited.add(start)
     edge_bits = BitArray(graph.edge_count)
     total_cost = 0.0
     selected = 0
-    spanned = 1
+    resolved = 1
     bits = max(1, (node_count - 1).bit_length())
     mask = (1 << bits) - 1
     order = np.argsort(graph.edge_weight, kind="stable")
@@ -125,6 +127,7 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
     adj_edge = graph._adj_edge
     best_keys = np.full(node_count, np.iinfo(np.int64).max, dtype=np.int64)
     best = memoryview(best_keys)
+    best[start] = -1
     heap: list[int] = []
     push = heapq.heappush
     pop = heapq.heappop
@@ -137,35 +140,41 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
         keys = rank[adj_edge[lo:hi]] | sinks
         for key in keys[keys < best_keys[sinks]].tolist():
             sink = key & mask
-            if sink not in visited:
+            if visited is not None and sink in visited:
+                best[sink] = -2
+                resolved += 1
+            else:
                 best[sink] = key
                 push(heap, key)
-        while heap:
+        while heap and resolved < node_count:
             key = pop(heap)
             node = key & mask
-            if key == best[node] and node not in visited:
-                break
+            if key == best[node]:
+                if visited is None or node not in visited:
+                    break
+                best[node] = -2
+                resolved += 1
         else:
             break
-        add(node)
+        best[node] = -1
+        if visited is not None:
+            visited.add(node)
+        resolved += 1
         edge_id = int(order[key >> bits])
         total_cost += float(weight[edge_id])
         selected += 1
-        spanned += 1
         edge_bits.set(edge_id)
-        if spanned == node_count:
-            break
 
-    return MstResult(total_cost, edge_bits, selected, spanned)
+    return MstResult(total_cost, edge_bits, selected, selected + 1)
 
 
 def prim_baseline(graph: Graph, start: int = 0) -> MstResult:
-    """Exact Prim's algorithm with a hash-set visited structure.
+    """Exact Prim's algorithm; the best keys alone record visited nodes.
 
     Returns the MST of the component containing ``start`` (the full MST
     when the graph is connected).
     """
-    return _prim(graph, start, set())
+    return _prim(graph, start, None)
 
 
 def prim_bloom(
@@ -183,9 +192,10 @@ def prim_bloom(
     structure; with an exact set the result equals
     :func:`prim_baseline` bit for bit.
 
-    A false positive drops the popped frontier entry, and the filter
-    only ever gains bits, so the affected node stays unreachable; the
-    result then reports ``spanned_node_count < node_count``.  The tree
+    A false positive drops a node for good, whether it answers the
+    probe made when a key to that node would be pushed or the one made
+    when its best key pops; the result then reports
+    ``spanned_node_count < node_count``.  The tree
     is the MST of the subgraph induced by the nodes it spans; its cost
     may exceed the exact MST's, since a skipped node's neighbours can be
     joined over dearer edges.

@@ -1,4 +1,6 @@
+import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from bloomprim import (
     PixelImage,
     generate_graph,
     image_to_graph,
+    mst,
     prim_baseline,
     prim_bloom,
     recover_edges,
@@ -197,6 +200,7 @@ class _Shadow:
         self.exact = set()
         self.false_positives = set()
         self.probes = 0
+        self.hits = 0
         self.adds = 0
 
     def add(self, key):
@@ -207,6 +211,7 @@ class _Shadow:
     def __contains__(self, key):
         self.probes += 1
         hit = key in self.inner
+        self.hits += hit
         if hit and key not in self.exact:
             self.false_positives.add(key)
         return hit
@@ -254,3 +259,60 @@ def test_best_key_frontier_probes_less_with_the_same_adds():
             assert _outcome(prim_bloom(g, 0, visited=ours)) == _outcome(tuple_prim(g, 0, ref))
             assert ours.adds == ref.adds
             assert ours.probes < ref.probes
+
+
+class _CountingHeap:
+    """Stands in for ``heapq`` in :mod:`bloomprim.mst` and counts pushes and pops."""
+
+    def __init__(self):
+        self.pushes = 0
+        self.pops = 0
+
+    def heappush(self, heap, key):
+        self.pushes += 1
+        heapq.heappush(heap, key)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+def test_every_visited_answer_loses_a_node(monkeypatch):
+    """The filter is asked only about nodes neither accepted nor lost, so
+    each hit is a false positive that loses its node, and a lossy solve
+    stops once every node is resolved instead of draining its heap."""
+    graphs = [generate_graph(GeneratorConfig(node_count=1000, seed=seed)) for seed in range(3)]
+    graphs.append(_card_graph())
+    lost = 0
+    for i, g in enumerate(graphs):
+        for epsilon in (0.01, 0.3):
+            counter = _CountingHeap()
+            monkeypatch.setattr(mst, "heapq", counter)
+            shadow = _Shadow(BloomFilter.for_capacity(g.node_count, epsilon, hash_seed=i))
+            result = prim_bloom(g, 0, visited=shadow)
+            assert shadow.hits == len(shadow.false_positives)
+            assert shadow.hits == g.node_count - result.spanned_node_count
+            if epsilon == 0.3:
+                assert counter.pops < counter.pushes
+            lost += shadow.hits
+    assert lost > 0
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_solve_holds_no_visited_structure():
+    """The exact solve keeps no set beside its best keys, so its peak does
+    not exceed that of a filter solve, which holds a filter as well.
+    Graphs of 1k nodes would not show it: their peak comes before a
+    visited set grows."""
+    for g in (_card_graph(), generate_graph(GeneratorConfig(node_count=11_000, seed=3))):
+        exact = _traced_peak(lambda: prim_baseline(g))
+        bloom = _traced_peak(lambda: prim_bloom(g, epsilon=0.01))
+        assert exact <= bloom
