@@ -125,8 +125,11 @@ def edge_error_rate(baseline: MstResult, bloom: MstResult) -> float:
 def baseline_set_bytes(inserted: int) -> int:
     """Modeled bytes of a visited hash set after ``inserted`` adds.
 
-    This is the paper's exact-solver baseline; :func:`bloomprim.prim_baseline`
-    itself keeps no such set.
+    This is the paper's exact-solver baseline, a model only: no solver in
+    this package allocates such a set (:func:`bloomprim.prim_baseline`
+    and :func:`bloomprim.prim_bloom` both keep per-node best keys as their
+    visited record), so a reduction computed against it is the paper's
+    modeled saving, not a measured one.
     """
     if inserted < 0:
         raise ValueError(f"inserted must be >= 0, got {inserted}")

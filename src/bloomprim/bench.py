@@ -7,6 +7,13 @@ count of edges the filter variant is short (rounded to the nearest
 integer), the predicted false-positive moments for the filter
 configuration, and the averaged edge-set error rate.
 
+``baseline_bytes`` and ``reduction_percent`` compare against the paper's
+*model* of an exact visited hash set (:func:`~bloomprim.analysis.baseline_set_bytes`),
+which no solver here allocates: both keep one int64 best key per node as
+their visited record, so their measured peaks differ by little more than
+the filter's own bits.  The columns reproduce the paper's accounting;
+they are not a measurement of this process.
+
 Per-run seeds are ``seed + 1_000_003 * size_index + run_index``, so any
 single trial can be reproduced in isolation.
 """

@@ -2,9 +2,20 @@
 
 Edges are stored canonically as ``u < v`` in arrays indexed by edge id;
 adjacency is kept in CSR form so solvers can walk neighbours cheaply.
-Every edge id appears exactly twice across the adjacency lists, once per
-endpoint; weights are read through the edge id, so the CSR arrays hold
-neighbour and edge ids alone.
+Every edge appears exactly twice across the adjacency lists, once per
+endpoint: a node's list holds the edges where it is ``u``, then those
+where it is ``v``, each in edge-id order.  An entry is one int64 key,
+``rank << bits | neighbour``, where ``rank`` is the edge's position in
+``_order``, the stable argsort of the weights (equal weights fall back
+to the edge id), and ``bits = max(1, (node_count - 1).bit_length())``.
+So keys order entries by ``(weight, edge_id)``, which is the order
+:mod:`bloomprim.mst` pops them in; the edge id is ``_order[key >>
+bits]`` and the neighbour ``key & (2**bits - 1)``.  Keys stay below
+``edge_count << bits < 2 * edge_count * node_count``, so they fit in
+int64 while ``edge_count * node_count < 2**62``; a connected graph would
+need over 2 * 10**9 edges, whose arrays alone take ~150 GB.  The keys
+and ``_order`` are derived from the edge arrays once per graph; equality
+and the file format ignore them.
 
 Graph file format (UTF-8 text)
 ------------------------------
@@ -71,8 +82,12 @@ def _first_bad_edge(node_count: int, u, v, w) -> tuple[int, str] | None:
     ``[0, node_count)``, no self-loop, ``u < v``, a finite nonnegative
     weight, and a pair no lower edge id already has.
     """
-    repeat = np.ones(len(u), dtype=bool)
-    repeat[np.unique(u * node_count + v, return_index=True)[1]] = False
+    pairs = u * node_count + v
+    repeat = np.zeros(len(u), dtype=bool)
+    ordered = np.sort(pairs)
+    if (ordered[1:] == ordered[:-1]).any():  # rare, so only then find which
+        repeat[:] = True
+        repeat[np.unique(pairs, return_index=True)[1]] = False
     rules = (
         ((u < 0) | (u >= node_count) | (v < 0) | (v >= node_count), "node id out of range [0, {n})"),
         (u == v, "self-loop at node {u}"),
@@ -101,8 +116,9 @@ class Graph:
         "edge_v",
         "edge_weight",
         "_indptr",
-        "_adj_node",
-        "_adj_edge",
+        "_adj_key",
+        "_order",
+        "_key_bits",
     )
 
     def __init__(self, node_count: int, edge_u, edge_v, edge_weight):
@@ -121,12 +137,15 @@ class Graph:
         self.edge_v = v
         self.edge_weight = w
 
-        # CSR adjacency over both edge directions
+        # CSR adjacency over both edge directions, one key per entry
+        bits = max(1, (self.node_count - 1).bit_length())
+        order = np.argsort(w, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order)) << bits
         src = np.concatenate([u, v])
-        edge_ids = np.arange(len(u), dtype=np.int64)
-        order = np.argsort(src, kind="stable")
-        self._adj_node = np.concatenate([v, u])[order]
-        self._adj_edge = np.concatenate([edge_ids, edge_ids])[order]
+        self._adj_key = np.concatenate([rank | v, rank | u])[np.argsort(src, kind="stable")]
+        self._order = order
+        self._key_bits = bits
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
         self._indptr = indptr
@@ -137,19 +156,24 @@ class Graph:
 
     def adjacent(self, node: int) -> tuple[list[int], list[float], list[int]]:
         """Neighbour ids, edge weights, and edge ids incident to ``node``."""
-        if not 0 <= node < self.node_count:
-            raise IndexError(f"node {node} out of range [0, {self.node_count})")
-        lo = self._indptr[node]
-        hi = self._indptr[node + 1]
-        edges = self._adj_edge[lo:hi]
+        keys = self._adj_key[self._span(node)]
+        edges = self._order[keys >> self._key_bits]
         return (
-            self._adj_node[lo:hi].tolist(),
+            (keys & ((1 << self._key_bits) - 1)).tolist(),
             self.edge_weight[edges].tolist(),
             edges.tolist(),
         )
 
     def degree(self, node: int) -> int:
-        return int(self._indptr[node + 1] - self._indptr[node])
+        """Number of edges incident to ``node``."""
+        span = self._span(node)
+        return span.stop - span.start
+
+    def _span(self, node: int) -> slice:
+        """The slice of ``_adj_key`` that holds ``node``'s adjacency list."""
+        if not 0 <= node < self.node_count:
+            raise IndexError(f"node {node} out of range [0, {self.node_count})")
+        return slice(int(self._indptr[node]), int(self._indptr[node + 1]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -207,8 +231,13 @@ def generate_graph(config: GeneratorConfig) -> Graph:
     hi = np.maximum(u_all, v_all)
     not_loop = lo != hi
     lo, hi = lo[not_loop], hi[not_loop]
-    _, first_index = np.unique(lo * n + hi, return_index=True)
-    keep = np.sort(first_index)
+    # the first index of each pair is the least one in its run of equals,
+    # so the sort need not be stable
+    pairs = lo * n + hi
+    by_pair = np.argsort(pairs)
+    sorted_pairs = pairs[by_pair]
+    run_starts = np.flatnonzero(np.r_[True, sorted_pairs[1:] != sorted_pairs[:-1]])
+    keep = np.sort(np.minimum.reduceat(by_pair, run_starts))
     lo, hi = lo[keep], hi[keep]
 
     weights = (raw(len(lo)) >> np.uint64(11)) * 2.0**-53
@@ -218,7 +247,7 @@ def generate_graph(config: GeneratorConfig) -> Graph:
 def _component_labels(graph: Graph) -> tuple[np.ndarray, int]:
     """Per-node component labels, numbered by smallest node, and the component count."""
     indptr = graph._indptr.tolist()
-    adj = graph._adj_node.tolist()
+    adj = (graph._adj_key & ((1 << graph._key_bits) - 1)).tolist()
     labels = [-1] * graph.node_count
     count = 0
     for start in range(graph.node_count):

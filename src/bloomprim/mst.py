@@ -11,49 +11,52 @@ differ only in the filter it consults:
   more than the true MST: a skipped node's neighbours can be joined
   over dearer edges.
 
-Frontier entries are single ints ``key = rank << bits | sink``:
+Frontier entries are the graph's adjacency keys, single ints ``key =
+rank << bits | sink`` built once per :class:`~bloomprim.graph.Graph`:
 ``rank`` is the edge's position in one stable argsort of the edge
 weights, so equal weights fall back to the edge id, and ``bits =
 max(1, (node_count - 1).bit_length())`` leaves room for the sink node.
-An edge enters the frontier only from the endpoint that reaches it first
-(the other endpoint is then resolved, see below, and stays so), so each
-rank is pushed at most once and keys pop in exactly
-``(weight, edge_id, sink)`` order, ``-0.0`` and ``0.0`` comparing equal
-as floats do.  A pop decodes only the sink; the edge id and weight are
-read back on accepted pops alone.  Keys stay below ``edge_count << bits
-< 2 * edge_count * node_count``, so they fit in int64 while
-``edge_count * node_count < 2**62``; a connected graph would need over
-2 * 10**9 edges, whose arrays alone take ~150 GB.
+An edge enters the frontier only from the endpoint accepted first (by
+the time the other endpoint expands, that one is accepted, see below,
+and stays so), so each rank is pushed at most once and keys pop in
+exactly ``(weight, edge_id, sink)`` order, ``-0.0`` and ``0.0``
+comparing equal as floats do.  A pop decodes only the sink; the edge id
+and weight are read back on accepted pops alone.  Keys fit in int64
+while ``edge_count * node_count < 2**62`` (see :mod:`bloomprim.graph`).
 
 The visited record is one int64 per node, ``best[node]``: ``-1`` once
 the node is accepted, ``-2`` once it is lost to a false positive, and
 otherwise the smallest key pushed for it so far.  A node is *resolved*
 once it is accepted or lost.  Keys are nonnegative, so an expansion's
-one vectorised compare, ``key < best[sink]``, drops every key to a
-resolved sink and every key no lighter than one already pushed.  A
+one test per adjacency entry, ``key < best[sink]``, drops every key to
+a resolved sink and every key no lighter than one already pushed.  A
 popped key that is not its sink's best is dropped.  The filter is asked
-only about unresolved sinks, at push and at the pop of a best key, so
-each "visited" answer is a false positive and marks the node lost.
+about a node only when its best key pops, so each node but the start is
+probed at most once, and since the node is unresolved then, each
+"visited" answer is a false positive and marks the node lost.
 
-This changes no output from a loop that pushes every sink the filter
-does not hold and probes every pop.  There, a probe of an accepted node
-answers "visited" (a Bloom filter has no false negatives), a lost node
-keeps answering "visited" (the filter only gains bits), and a superseded
-key pops after the lighter key for its sink, by which time the sink is
-resolved.  So the tree, the filter's bits and the lost nodes are the
-same; only probes and pops fall.  The solve stops once every node is
-resolved, since every key left in the heap would then be dropped.  The
-start node is accepted (and added to the filter) before the main loop,
-which keeps frontier edges pointing back at it from being selected.
+This changes no output from a loop that probes every sink before
+pushing it and every pop.  There, a probe of an accepted node answers
+"visited" (a Bloom filter has no false negatives), and a superseded key
+pops after the lighter key for its sink, by which time the sink is
+resolved.  A node that such a loop loses at a push probe is lost here
+too, at the pop of its best key: no key of a node pops before its best
+one, and the filter only gains bits, so the answer "visited" given at
+the push comes back at that pop.  The filter holds the accepted nodes
+alone, which the two loops accept in the same order, so the tree, the
+filter's bits and the lost nodes are the same; only probes and pops
+fall.  The solve stops once every node is resolved, since every key
+left in the heap would then be dropped.  The start node is accepted
+(and added to the filter) before the main loop, which keeps frontier
+edges pointing back at it from being selected.
 
 Each edge is pushed at most once, so a solve runs in O(|E| log |V|);
-the filter variant also hashes on each probe, at most one per edge and
-one per node, for O(k (|E| + |V|)) hashing with k the filter's hash
-count.  Besides the graph, a solve holds the heap, the best keys (8
-bytes per node), the filter if any, and two int64 arrays of one entry
-per edge for the weight ranks; the exact solve holds no other visited
-structure.  Both solvers are pure functions of their inputs and may run
-concurrently over a shared graph.
+the filter variant hashes once per node probed and once per node added,
+for O(k |V|) hashing with k the filter's hash count.  Besides the graph,
+a solve holds the heap, the best keys (8 bytes per node) and the filter
+if any; it allocates no array of one entry per edge, and the exact
+solve holds no other visited structure.  Both solvers are pure
+functions of their inputs and may run concurrently over a shared graph.
 
 Results carry the selected edges as a bit array indexed by edge id, from
 which the full tree is recoverable with :func:`recover_edges`.  The cost
@@ -104,8 +107,8 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
     accepted, ``-2`` once it is lost, otherwise the smallest key pushed
     for it.  ``visited``, when given, is any object with ``add`` and
     ``in`` over int keys; every accepted node is added to it, and it is
-    probed only for nodes that are neither accepted nor lost, so each
-    "visited" answer loses its node.
+    probed only when a node's best key pops, so each node is probed at
+    most once and each "visited" answer loses its node.
     """
     node_count = graph.node_count
     if not 0 <= start < node_count:
@@ -116,17 +119,13 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
     total_cost = 0.0
     selected = 0
     resolved = 1
-    bits = max(1, (node_count - 1).bit_length())
+    bits = graph._key_bits
     mask = (1 << bits) - 1
-    order = np.argsort(graph.edge_weight, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order)) << bits
-    weight = graph.edge_weight
+    order = memoryview(graph._order)
+    weight = memoryview(graph.edge_weight)
     indptr = memoryview(graph._indptr)
-    adj_node = graph._adj_node
-    adj_edge = graph._adj_edge
-    best_keys = np.full(node_count, np.iinfo(np.int64).max, dtype=np.int64)
-    best = memoryview(best_keys)
+    adj_key = memoryview(graph._adj_key)
+    best = memoryview(np.full(node_count, np.iinfo(np.int64).max, dtype=np.int64))
     best[start] = -1
     heap: list[int] = []
     push = heapq.heappush
@@ -134,16 +133,9 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
 
     node = start
     while True:
-        lo = indptr[node]
-        hi = indptr[node + 1]
-        sinks = adj_node[lo:hi]
-        keys = rank[adj_edge[lo:hi]] | sinks
-        for key in keys[keys < best_keys[sinks]].tolist():
+        for key in adj_key[indptr[node] : indptr[node + 1]]:
             sink = key & mask
-            if visited is not None and sink in visited:
-                best[sink] = -2
-                resolved += 1
-            else:
+            if key < best[sink]:
                 best[sink] = key
                 push(heap, key)
         while heap and resolved < node_count:
@@ -160,8 +152,8 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
         if visited is not None:
             visited.add(node)
         resolved += 1
-        edge_id = int(order[key >> bits])
-        total_cost += float(weight[edge_id])
+        edge_id = order[key >> bits]
+        total_cost += weight[edge_id]
         selected += 1
         edge_bits.set(edge_id)
 
@@ -192,13 +184,12 @@ def prim_bloom(
     structure; with an exact set the result equals
     :func:`prim_baseline` bit for bit.
 
-    A false positive drops a node for good, whether it answers the
-    probe made when a key to that node would be pushed or the one made
-    when its best key pops; the result then reports
-    ``spanned_node_count < node_count``.  The tree
-    is the MST of the subgraph induced by the nodes it spans; its cost
-    may exceed the exact MST's, since a skipped node's neighbours can be
-    joined over dearer edges.
+    The filter is probed once per node, when the node's best key pops;
+    a false positive there drops the node for good, and the result then
+    reports ``spanned_node_count < node_count``.  The tree is the MST of
+    the subgraph induced by the nodes it spans; its cost may exceed the
+    exact MST's, since a skipped node's neighbours can be joined over
+    dearer edges.
     """
     if visited is None:
         visited = BloomFilter.for_capacity(graph.node_count, epsilon, hash_seed)

@@ -76,13 +76,13 @@ def image_to_graph(image: PixelImage) -> Graph:
     """Build the 8-neighbourhood pixel graph with squared-RGB-distance weights."""
     h, w = image.height, image.width
     ids = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    px = image.pixels.astype(np.int64)
+    px = image.pixels.astype(np.int32)  # a squared distance is at most 3 * 255**2
 
     def block(a_rows, a_cols, b_rows, b_cols):
         u = ids[a_rows, a_cols].ravel()
         v = ids[b_rows, b_cols].ravel()
         d = px[a_rows, a_cols] - px[b_rows, b_cols]
-        wt = (d * d).sum(axis=-1).astype(np.float64).ravel()
+        wt = np.einsum("...k,...k->...", d, d).astype(np.float64).ravel()
         return u, v, wt
 
     rows_all, cols_all = slice(None), slice(None)
@@ -116,7 +116,8 @@ def segment(
         result = prim_bloom(graph, 0, epsilon=epsilon, hash_seed=hash_seed)
     else:
         raise ValueError(f"solver must be 'baseline' or 'bloom', got {solver!r}")
-    ids = np.fromiter(result.edge_bits.iter_set(), dtype=np.int64)
+    selected = np.frombuffer(result.edge_bits.tobytes(), np.uint8)
+    ids = np.flatnonzero(np.unpackbits(selected, count=graph.edge_count, bitorder="little"))
     ids = ids[graph.edge_weight[ids] <= threshold]
     forest = Graph(graph.node_count, graph.edge_u[ids], graph.edge_v[ids], graph.edge_weight[ids])
     labels, count = _component_labels(forest)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,29 @@ class TestGraphConstruction:
         assert sorted(zip(nodes, weights, edge_ids)) == [(0, 1.0, 0), (2, 2.0, 1)]
         assert triangle.degree(1) == 2
 
+    def test_adjacency_order_is_u_side_then_v_side_by_edge_id(self):
+        # tie-heavy weights, so the keys' weight order differs from this one
+        g = generate_graph(GeneratorConfig(node_count=300, seed=4))
+        tied = Graph(g.node_count, g.edge_u, g.edge_v, np.round(g.edge_weight, 1))
+        for graph in (g, tied):
+            u, v, w = (a.tolist() for a in (graph.edge_u, graph.edge_v, graph.edge_weight))
+            for node in range(graph.node_count):
+                as_u = [e for e in range(graph.edge_count) if u[e] == node]
+                as_v = [e for e in range(graph.edge_count) if v[e] == node]
+                expected = (
+                    [v[e] for e in as_u] + [u[e] for e in as_v],
+                    [w[e] for e in as_u + as_v],
+                    as_u + as_v,
+                )
+                assert graph.adjacent(node) == expected
+                assert graph.degree(node) == len(as_u) + len(as_v)
+
+    @pytest.mark.parametrize("node", [-1, 3, 10**20])
+    def test_node_out_of_range(self, path_graph, node):
+        for lookup in (path_graph.adjacent, path_graph.degree):
+            with pytest.raises(IndexError, match=rf"^node {node} out of range \[0, 3\)$"):
+                lookup(node)
+
 
 class TestGenerator:
     def test_two_nodes_single_edge(self):
@@ -79,8 +104,35 @@ class TestGenerator:
 
     def test_edge_ids_appear_exactly_twice(self):
         g = generate_graph(GeneratorConfig(node_count=300, seed=4))
-        ids = np.sort(g._adj_edge)
+        ids = np.sort([e for node in range(g.node_count) for e in g.adjacent(node)[2]])
         assert np.array_equal(ids, np.repeat(np.arange(g.edge_count), 2))
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            ((2, 1, 25, 0), "99f3b81384e74326da73f770032aba7b7940387df9ff396b0e5da17ed8e29815"),
+            ((2, 1, 25, 1), "d50fdbd102fb0ff3c6c071b4a6467a9d081c4e83fbac05307dd4d12e40008b18"),
+            ((2, 1, 25, 2), "ee6dc5e1117442a863725f6e469da4eb2586245d83c1780e9c3e5cc685710bba"),
+            ((10, 1, 25, 0), "6fcda40ffb444b94e16f17976fc8d1455be8d7c51dddf547867e9769916d3044"),
+            ((10, 1, 25, 1), "48a741c20051d079c9d50a00390909c8caec10d660180dd814982dc3b9d7bd8f"),
+            ((10, 1, 25, 2), "b27553c00627788958bf1bec8d0a5e39624587dc2e54152c2e016e2d40e6ae64"),
+            ((10, 1, 25, 3), "3d41056209321458c221ce700edf5850fc8afc57f376cd0e4b3520b44d300407"),
+            ((10, 1, 1, 5), "62006ff9a28d6564d1cadf068b25cbb206fd1aebb9cd60f0b79f5d2c1a24595f"),
+            ((10, 3, 3, 6), "4f217ff9f92ac899b0db1a8d51466f4e0e4c60916a479c64011a14951f78d464"),
+            ((1000, 1, 25, 0), "9b21f94dfa2f9f2ee7e82fc04aebde90fd011ce5f06c6752d0b984ac3ea83654"),
+            ((1000, 1, 25, 1), "bf6f582871f0dda649c4bf89b9e6d3eae570609d014c88643729663854b63ce6"),
+            ((1000, 1, 25, 2), "f22edcb81dfb73a65de5c50307f107aadde095913f2e403480b315710fe5938f"),
+            ((1000, 2, 4, 7), "fa2c44179d7ed29f1aec79fe9a6e38c87b429be033683c012d7943ea8254bd5c"),
+            ((21000, 1, 25, 0), "60de4195ecfd1f67769327c6cb43d673122314f29bce1b989a1d078627c77b01"),
+            ((21000, 1, 25, 3), "fcb40657a8e0ba57ab1d9ef25512a844bda3fb10cce6d19cef87d1bb57db0778"),
+        ],
+    )
+    def test_seeded_graph_bytes_are_frozen(self, config, digest):
+        """The generator's output is pinned byte for byte, so a faster
+        procedure must reproduce the documented one exactly."""
+        n, lo, hi, seed = config
+        g = generate_graph(GeneratorConfig(n, min_extra_edges=lo, max_extra_edges=hi, seed=seed))
+        assert hashlib.sha256(dumps_graph(g).encode()).hexdigest() == digest
 
     def test_weights_in_unit_interval_and_distinct(self):
         g = generate_graph(GeneratorConfig(node_count=1000, seed=12))

@@ -1,6 +1,7 @@
 import heapq
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -199,6 +200,7 @@ class _Shadow:
         self.inner = inner
         self.exact = set()
         self.false_positives = set()
+        self.probed = Counter()
         self.probes = 0
         self.hits = 0
         self.adds = 0
@@ -209,6 +211,7 @@ class _Shadow:
         self.inner.add(key)
 
     def __contains__(self, key):
+        self.probed[key] += 1
         self.probes += 1
         hit = key in self.inner
         self.hits += hit
@@ -259,6 +262,23 @@ def test_best_key_frontier_probes_less_with_the_same_adds():
             assert _outcome(prim_bloom(g, 0, visited=ours)) == _outcome(tuple_prim(g, 0, ref))
             assert ours.adds == ref.adds
             assert ours.probes < ref.probes
+
+
+def test_filter_is_probed_once_per_node_at_its_best_key_pop():
+    """Pushes never ask the filter; a node is asked about only when its
+    best key pops, so each node but the start is probed at most once, and
+    exactly once on these graphs unless all its neighbours were lost."""
+    graphs = [generate_graph(GeneratorConfig(node_count=1000, seed=seed)) for seed in range(3)]
+    graphs.append(_card_graph())
+    for i, g in enumerate(graphs):
+        for epsilon in (0.01, 0.3):
+            shadow = _Shadow(BloomFilter.for_capacity(g.node_count, epsilon, hash_seed=i))
+            prim_bloom(g, 0, visited=shadow)
+            assert 0 not in shadow.probed
+            assert set(shadow.probed.values()) == {1}
+            assert shadow.probes <= g.node_count - 1
+            if epsilon == 0.01:
+                assert shadow.probes == g.node_count - 1
 
 
 class _CountingHeap:
