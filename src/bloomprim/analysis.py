@@ -134,15 +134,9 @@ def baseline_set_bytes(inserted: int) -> int:
     if inserted < 0:
         raise ValueError(f"inserted must be >= 0, got {inserted}")
     capacity = 8
-    used = 0
-    for _ in range(inserted):
-        used += 1
-        if used >= -(-3 * capacity // 5):  # ceil(3/5 * capacity)
-            target = 4 * used if used <= 50_000 else 2 * used
-            grown = 1
-            while grown < target:
-                grown <<= 1
-            capacity = grown
+    while (fill := -(-3 * capacity // 5)) <= inserted:  # grows at ceil(3/5 * capacity)
+        target = 4 * fill if fill <= 50_000 else 2 * fill
+        capacity = 1 << (target - 1).bit_length()
     return capacity * 16 + 216
 
 

@@ -26,6 +26,11 @@ whitespace-separated literals of Python's ``int()`` (ids and counts) or
 ``float()`` (weights); ``1 <= node_count <= 2 * edge_count + 1``; only
 blank lines may follow the edges.  The first bad line is reported.
 
+:func:`loads_graph` is the parser and takes the whole text;
+:func:`load_graph` only reads a path or stream and passes its text on.
+:func:`save_graph` writes line by line to a path or stream, and
+:func:`dumps_graph` collects those lines in a string.
+
 Random graph generation
 -----------------------
 ``generate_graph`` consumes one stream of raw 64-bit words from numpy's
@@ -307,20 +312,30 @@ def _edge_columns(lines: list[str]):
                 continue
         except (ValueError, OverflowError):  # a token is no number, or an id outside int64
             pass
-        if len(block) == 1:
-            return u[:lo], v[:lo], w[:lo], lo
-        bad = lo + next(i for i, line in enumerate(block) if _edge_columns([line])[3] is not None)
-        return (*_edge_columns(lines[:bad])[:3], bad)
+        for i, line in enumerate(block, lo):  # the block holds a bad line: find the first
+            try:
+                a, b, c = line.split()
+                u[i], v[i], w[i] = int(a), int(b), float(c)
+            except (ValueError, OverflowError):
+                return u[:i], v[:i], w[:i], i
     return u, v, w, None
 
 
 def load_graph(source: str | Path | TextIO) -> Graph:
-    """Parse a graph file, raising :class:`GraphFormatError` at its first bad line."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_graph(fh)
+    """Read a graph file or text stream whole and parse it with :func:`loads_graph`.
 
-    lines = source.read().splitlines()
+    A path is decoded as UTF-8 with ``surrogateescape``, as Python decodes
+    stdin under the C and C.UTF-8 locales, so a byte that is not UTF-8
+    fails the parse of its own line.
+    """
+    if isinstance(source, (str, Path)):
+        return loads_graph(Path(source).read_text(encoding="utf-8", errors="surrogateescape"))
+    return loads_graph(source.read())
+
+
+def loads_graph(text: str) -> Graph:
+    """Parse graph text, raising :class:`GraphFormatError` at its first bad line."""
+    lines = text.splitlines()
     if not lines:
         raise GraphFormatError(1, "empty input, expected '<node_count> <edge_count>'")
     header = lines[0].split()
@@ -352,7 +367,3 @@ def load_graph(source: str | Path | TextIO) -> Graph:
             raise GraphFormatError(extra + 1, "trailing content after declared edges")
     return graph
 
-
-def loads_graph(text: str) -> Graph:
-    """Parse a graph from a string."""
-    return load_graph(io.StringIO(text))

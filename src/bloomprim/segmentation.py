@@ -24,7 +24,6 @@ writes a ``label_count=<k>`` sidecar next to the image.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -236,19 +235,15 @@ def load_ppm(source: str | Path | bytes | BinaryIO) -> PixelImage:
 
 def save_ppm(image: PixelImage, dest: str | Path | BinaryIO) -> None:
     """Write ``image`` as a binary (P6) pixmap."""
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    payload = header + image.pixels.tobytes()
     if isinstance(dest, (str, Path)):
-        Path(dest).write_bytes(payload)
+        Path(dest).write_bytes(ppm_bytes(image))
     else:
-        dest.write(payload)
+        dest.write(ppm_bytes(image))
 
 
 def ppm_bytes(image: PixelImage) -> bytes:
     """Serialize ``image`` to P6 bytes."""
-    buf = io.BytesIO()
-    save_ppm(image, buf)
-    return buf.getvalue()
+    return f"P6\n{image.width} {image.height}\n255\n".encode("ascii") + image.pixels.tobytes()
 
 
 def save_labels(

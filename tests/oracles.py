@@ -142,3 +142,19 @@ def real_filter_fp_counts(
             filt.add(key)
         counts.append(fp)
     return counts
+
+
+def set_bytes_per_insert(limit: int) -> list[int]:
+    """:func:`bloomprim.analysis.baseline_set_bytes` of 0 to ``limit`` inserts,
+    stepped one insert at a time."""
+    capacity = 8
+    sizes = [capacity * 16 + 216]
+    for used in range(1, limit + 1):
+        if used >= -(-3 * capacity // 5):  # ceil(3/5 * capacity)
+            target = 4 * used if used <= 50_000 else 2 * used
+            grown = 1
+            while grown < target:
+                grown <<= 1
+            capacity = grown
+        sizes.append(capacity * 16 + 216)
+    return sizes

@@ -13,7 +13,7 @@ from bloomprim import (
     memory_report,
     simulate_false_positive_counts,
 )
-from oracles import real_filter_fp_counts
+from oracles import real_filter_fp_counts, set_bytes_per_insert
 
 # (insert count, published mean, published stddev) for the 1% filter configuration
 PUBLISHED_MOMENTS = [
@@ -143,6 +143,14 @@ class TestMemoryModels:
         assert baseline_set_bytes(1) == 8 * 16 + 216
         # fifth insert reaches ceil(3/5 * 8) = 5 and grows to 32 slots
         assert baseline_set_bytes(5) == 32 * 16 + 216
+
+    def test_baseline_set_bytes_matches_per_insert_model(self):
+        reference = set_bytes_per_insert(400_000)
+        growths = [n for n in range(1, len(reference)) if reference[n] != reference[n - 1]]
+        assert growths[0] == 5 and growths[-2] > 50_000  # both growth factors
+        points = {n + d for n in [*growths, 50_000] for d in (-1, 0, 1)} | {*range(0, 400_001, 997)}
+        for n in sorted(points & {*range(len(reference))}):
+            assert baseline_set_bytes(n) == reference[n], n
 
     def test_baseline_set_bytes_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,13 @@ class TestMst:
         assert code == 2
         assert "line 2" in err
 
+    def test_non_utf8_byte_is_parse_error_on_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"2 1\n0 1 0.5\xff\n")
+        code, _, err = run_cli(capsys, "mst", str(bad))
+        assert code == 2
+        assert "line 2: expected '<u> <v> <weight>'" in err
+
     def test_bad_epsilon_is_parameter_error(self, graph_file, capsys):
         code, _, err = run_cli(
             capsys, "mst", str(graph_file), "--solver", "bloom", "--epsilon", "1.5"

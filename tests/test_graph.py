@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from bloomprim import (
     dumps_graph,
     generate_graph,
     is_connected,
+    load_graph,
     loads_graph,
+    save_graph,
 )
 
 
@@ -194,11 +197,17 @@ class TestFileFormat:
             ("3 2\n0 1 0.5\n1 2 x\n", 3),
         ],
     )
-    def test_parse_errors_carry_line_numbers(self, text, line):
+    def test_parse_errors_carry_line_numbers(self, text, line, tmp_path):
+        # a file path is read whole and parsed as the same text
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(GraphFormatError) as exc_info:
             loads_graph(text)
-        assert exc_info.value.line_number == line
+        with pytest.raises(GraphFormatError) as file_exc_info:
+            load_graph(path)
+        assert exc_info.value.line_number == file_exc_info.value.line_number == line
         assert f"line {line}" in str(exc_info.value)
+        assert str(file_exc_info.value) == str(exc_info.value)
 
     def test_line_numbers_across_parse_blocks(self):
         # more edge lines than the parser tokenises at once (65,536)
@@ -234,9 +243,19 @@ class TestFileFormat:
         g = loads_graph("2 1\n0 1 0.5\n\n\n")
         assert g.edge_count == 1
 
-    def test_file_io(self, tmp_path):
-        from bloomprim import load_graph, save_graph
+    def test_parse_peak_memory_bounded_by_text_size(self):
+        # the parser holds the text's lines, one block of tokens and the
+        # arrays, and no second copy of the text
+        text = dumps_graph(generate_graph(GeneratorConfig(node_count=5000, seed=3)))
+        tracemalloc.start()
+        try:
+            loads_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * len(text)
 
+    def test_file_io(self, tmp_path):
         g = generate_graph(GeneratorConfig(node_count=50, seed=5))
         path = tmp_path / "graph.txt"
         save_graph(g, path)
