@@ -11,12 +11,10 @@ portable pixmaps.
 
 from .analysis import (
     FalsePositiveStats,
-    MemoryReport,
     baseline_set_bytes,
     bloom_variant_bytes,
     edge_error_rate,
     false_positive_stats,
-    memory_report,
     simulate_false_positive_counts,
 )
 from .bench import (
@@ -77,13 +75,11 @@ __all__ = [
     "prim_bloom",
     "recover_edges",
     "FalsePositiveStats",
-    "MemoryReport",
     "false_positive_stats",
     "simulate_false_positive_counts",
     "edge_error_rate",
     "baseline_set_bytes",
     "bloom_variant_bytes",
-    "memory_report",
     "BenchRecord",
     "BenchReport",
     "TrialResult",

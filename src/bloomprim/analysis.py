@@ -145,19 +145,3 @@ def bloom_variant_bytes(bit_count: int, edge_count: int) -> int:
     if bit_count < 0 or edge_count < 0:
         raise ValueError("bit_count and edge_count must be >= 0")
     return (bit_count + 7) // 8 + (edge_count + 7) // 8 + 120
-
-
-@dataclass(frozen=True)
-class MemoryReport:
-    """Side-by-side auxiliary-memory model for one graph."""
-
-    baseline_bytes: int
-    bloom_bytes: int
-    reduction_percent: float
-
-
-def memory_report(visited_count: int, bit_count: int, edge_count: int) -> MemoryReport:
-    """Compare modeled visited-set bytes against filter-variant bytes."""
-    baseline = baseline_set_bytes(visited_count)
-    variant = bloom_variant_bytes(bit_count, edge_count)
-    return MemoryReport(baseline, variant, 100.0 * (1.0 - variant / baseline))

@@ -15,7 +15,11 @@ bits]`` and the neighbour ``key & (2**bits - 1)``.  Keys stay below
 int64 while ``edge_count * node_count < 2**62``; a connected graph would
 need over 2 * 10**9 edges, whose arrays alone take ~150 GB.  The keys
 and ``_order`` are derived from the edge arrays once per graph; equality
-and the file format ignore them.
+and the file format ignore them, and only :mod:`bloomprim.mst` reads them.
+
+Components are labelled from two endpoint arrays alone, by whole-array
+hook-and-shortcut rounds (Shiloach & Vishkin, J. Algorithms 1982), in
+ascending order of their smallest node (see ``_component_labels``).
 
 Graph file format (UTF-8 text)
 ------------------------------
@@ -249,29 +253,34 @@ def generate_graph(config: GeneratorConfig) -> Graph:
     return Graph(n, lo, hi, weights)
 
 
-def _component_labels(graph: Graph) -> tuple[np.ndarray, int]:
-    """Per-node component labels, numbered by smallest node, and the component count."""
-    indptr = graph._indptr.tolist()
-    adj = (graph._adj_key & ((1 << graph._key_bits) - 1)).tolist()
-    labels = [-1] * graph.node_count
-    count = 0
-    for start in range(graph.node_count):
-        if labels[start] < 0:
-            labels[start] = count
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                for t in adj[indptr[node] : indptr[node + 1]]:
-                    if labels[t] < 0:
-                        labels[t] = count
-                        stack.append(t)
-            count += 1
-    return np.array(labels, dtype=np.int32), count
+def _component_labels(node_count: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-node component labels, and their count, of the edges ``(u[i], v[i])``.
+
+    Each node's ``root`` starts as itself.  A round hooks the larger root
+    of each edge whose endpoints' roots differ under the smaller one, then
+    shortcuts ``root = root[root]`` until every node points at a root;
+    rounds repeat until no edge joins two roots.  A root only moves to a
+    smaller node of its component, so each component ends rooted at its
+    smallest node, and components are numbered 0, 1, ... in that order.
+    """
+    nodes = np.arange(node_count)
+    root = nodes.copy()
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]  # joined edges stay joined
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(hop := root[root], root):
+            root = hop
+    first = np.cumsum(root == nodes) - 1  # label of each root
+    return first[root].astype(np.int32), int(first[-1]) + 1
 
 
 def is_connected(graph: Graph) -> bool:
     """True iff the graph has one connected component."""
-    return _component_labels(graph)[1] == 1
+    return _component_labels(graph.node_count, graph.edge_u, graph.edge_v)[1] == 1
 
 
 def save_graph(graph: Graph, dest: str | Path | TextIO) -> None:

@@ -4,8 +4,9 @@ Pixels become graph nodes (id ``row * width + col``); every pair of
 8-neighbourhood-adjacent pixels contributes one undirected edge weighted
 by the squared RGB distance ``(dR)^2 + (dG)^2 + (dB)^2``.  Segmentation
 builds the MST with either solver, discards selected edges strictly
-heavier than the threshold, and labels the connected components of the
-pixel graph of the surviving edges in ascending smallest-node order.
+heavier than the threshold, and labels the connected components the
+surviving edges leave in ascending smallest-node order, straight from
+their endpoint arrays.  A NaN or negative threshold is rejected.
 Pixels the filter-backed solver failed to span end up as singleton
 components.
 
@@ -106,7 +107,7 @@ def segment(
     hash_seed: int = 0,
 ) -> SegmentationResult:
     """Segment ``image`` by trimming MST edges heavier than ``threshold``."""
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails too
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     graph = image_to_graph(image)
     if solver == "baseline":
@@ -118,8 +119,7 @@ def segment(
     selected = np.frombuffer(result.edge_bits.tobytes(), np.uint8)
     ids = np.flatnonzero(np.unpackbits(selected, count=graph.edge_count, bitorder="little"))
     ids = ids[graph.edge_weight[ids] <= threshold]
-    forest = Graph(graph.node_count, graph.edge_u[ids], graph.edge_v[ids], graph.edge_weight[ids])
-    labels, count = _component_labels(forest)
+    labels, count = _component_labels(graph.node_count, graph.edge_u[ids], graph.edge_v[ids])
     return SegmentationResult(labels.reshape(image.height, image.width), count)
 
 

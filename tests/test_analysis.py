@@ -10,7 +10,6 @@ from bloomprim import (
     bloom_variant_bytes,
     edge_error_rate,
     false_positive_stats,
-    memory_report,
     simulate_false_positive_counts,
 )
 from oracles import real_filter_fp_counts, set_bytes_per_insert
@@ -166,16 +165,9 @@ class TestMemoryModels:
         with pytest.raises(ValueError):
             bloom_variant_bytes(-1, 0)
 
-    def test_memory_report_consistency(self):
-        report = memory_report(1000, 9586, 13_000)
-        assert report.baseline_bytes == 32_984
-        assert report.bloom_bytes == 2_944
-        assert report.reduction_percent == pytest.approx(
-            100.0 * (1 - 2_944 / 32_984)
-        )
-
 
 def test_published_table_reduction_magnitude():
     # the published space columns imply a ~91% reduction at 1,000 nodes
-    report = memory_report(1000, BloomParams.for_capacity(1000, 0.01).bit_count, 13_000)
-    assert report.reduction_percent == pytest.approx(91.07, abs=0.05)
+    variant = bloom_variant_bytes(BloomParams.for_capacity(1000, 0.01).bit_count, 13_000)
+    reduction_percent = 100.0 * (1.0 - variant / baseline_set_bytes(1000))
+    assert reduction_percent == pytest.approx(91.07, abs=0.05)

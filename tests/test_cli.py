@@ -203,6 +203,17 @@ class TestSegment:
         assert code == 0
         assert "label_count=2" in out
 
+    def test_nan_threshold_is_usage_error(self, capsys, tmp_path):
+        img_path = tmp_path / "white.ppm"
+        save_ppm(PixelImage(np.full((4, 4, 3), 255, dtype=np.uint8)), img_path)
+        out_path = tmp_path / "labels.ppm"
+        code, _, err = run_cli(
+            capsys, "segment", str(img_path), "--threshold", "nan", "--out", str(out_path)
+        )
+        assert code == 1
+        assert "threshold" in err
+        assert not out_path.exists()
+
     def test_bad_image_is_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"P6\n2 2\n65535\n" + bytes(24))

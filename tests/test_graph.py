@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from bloomprim import (
     GeneratorConfig,
@@ -15,6 +17,7 @@ from bloomprim import (
     loads_graph,
     save_graph,
 )
+from bloomprim.graph import _component_labels
 
 
 class TestGraphConstruction:
@@ -271,3 +274,48 @@ class TestConnectivity:
 
     def test_single_node(self):
         assert is_connected(Graph(1, [], [], []))
+
+
+def scipy_labels(node_count, u, v):
+    """scipy's component labels, renumbered by each component's smallest node."""
+    adj = coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(node_count, node_count))
+    _, raw = connected_components(adj, directed=False)
+    _, first = np.unique(raw, return_index=True)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+    return rank[raw]
+
+
+class TestComponentLabels:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scipy(self, seed):
+        # fewer edges than nodes, drawn with repeats, self-loops and either
+        # orientation; every seed leaves isolated nodes and several components
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 500))
+        u, v = rng.integers(0, n, (2, int(rng.integers(0, n))))
+        labels, count = _component_labels(n, u, v)
+        expected = scipy_labels(n, u, v)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, expected)
+        assert count == expected.max() + 1
+
+    def test_single_node(self):
+        labels, count = _component_labels(1, np.empty(0, np.int64), np.empty(0, np.int64))
+        assert labels.tolist() == [0] and count == 1
+
+    def test_edgeless(self):
+        labels, count = _component_labels(5, np.empty(0, np.int64), np.empty(0, np.int64))
+        assert labels.tolist() == [0, 1, 2, 3, 4] and count == 5
+
+    def test_long_shuffled_path(self):
+        # a path over shuffled ids needs many hook rounds; cutting it in the
+        # middle leaves two halves, numbered by the one that holds node 0
+        n = 120_000
+        path = np.random.default_rng(1).permutation(n)
+        u, v = np.delete(path[:-1], n // 2), np.delete(path[1:], n // 2)
+        labels, count = _component_labels(n, u, v)
+        first_half = np.isin(np.arange(n), path[: n // 2 + 1])
+        assert count == 2
+        assert np.array_equal(labels, np.where(first_half == first_half[0], 0, 1))
+        assert np.array_equal(labels, scipy_labels(n, u, v))

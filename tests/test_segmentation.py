@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bloomprim import (
+    Graph,
     PixelImage,
     PpmFormatError,
     image_to_graph,
@@ -129,7 +130,21 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment(img, threshold=-1.0)
         with pytest.raises(ValueError):
+            segment(img, threshold=float("nan"))
+        with pytest.raises(ValueError):
             segment(img, solver="kruskal")
+
+    def test_builds_one_graph(self, monkeypatch):
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        segment(make_natural_image(0, 16, 16), 100.0)
+        assert built == [256]
 
 
 class TestPpmIo:
