@@ -28,6 +28,15 @@ before it multiplies,
 
 which gives the same bits and stays below ``hash_count * bit_count``.
 Filters are then bit-identical across platforms and languages.
+
+Each key is hashed once per probe-then-insert (Kirsch & Mitzenmacher,
+"Less Hashing, Same Performance", ESA 2006: the two halves are all a
+key needs).  ``contains`` reduces both halves mod ``bit_count`` and keeps
+``(key, h1 mod bit_count, h2 mod bit_count)`` as the filter's last
+probe; an ``add`` of that same key reads the record instead of hashing
+again.  Both walk the positions by stepping a small index, adding
+``h2 mod bit_count`` and subtracting ``bit_count`` once it is reached,
+which is the reduced rule above with no ``mod`` per position.
 """
 
 from __future__ import annotations
@@ -111,11 +120,23 @@ class BloomFilter:
     counts ``add`` calls; callers that re-add keys should not rely on it
     as a distinct-key count.
 
-    Single-writer: no internal locking; share across threads only after
-    all writes complete.
+    Single-writer: no internal locking.  ``contains`` writes the
+    last-probe record and only ``add`` reads it, so concurrent probes
+    are correct once all adds are complete.
     """
 
-    __slots__ = ("params", "bits", "inserted_count", "hash_seed", "_seed_low", "_seed_high")
+    __slots__ = (
+        "params",
+        "bits",
+        "inserted_count",
+        "hash_seed",
+        "_seed_low",
+        "_seed_high",
+        "_m",
+        "_buf",
+        "_steps",
+        "_last",
+    )
 
     def __init__(self, params: BloomParams, hash_seed: int = 0):
         self.params = params
@@ -123,6 +144,11 @@ class BloomFilter:
         self.bits = BitArray(params.bit_count)
         self.inserted_count = 0
         self._seed_low, self._seed_high = _seed_words(hash_seed)
+        self._m = params.bit_count
+        self._buf = self.bits._buf
+        self._steps = range(params.hash_count - 1)
+        # last probe: (key, h1 mod m, h2 mod m)
+        self._last = (None, 0, 0)
 
     @classmethod
     def for_capacity(
@@ -133,35 +159,39 @@ class BloomFilter:
 
     def add(self, key: int) -> None:
         """Insert ``key``: set its probe bits and bump ``inserted_count``."""
-        k = key & _MASK64
-        h1 = _mix64(k ^ self._seed_low)
-        h2 = _mix64(k ^ self._seed_high)
-        m = self.params.bit_count
-        buf = self.bits._buf
-        for i in range(self.params.hash_count):
-            idx = (h1 + i * h2) % m
+        last_key, idx, step = self._last
+        if last_key != key:
+            self.contains(key)
+            _, idx, step = self._last
+        m = self._m
+        buf = self._buf
+        buf[idx >> 3] |= 1 << (idx & 7)
+        for _ in self._steps:
+            idx += step
+            if idx >= m:
+                idx -= m
             buf[idx >> 3] |= 1 << (idx & 7)
         self.inserted_count += 1
 
     def contains(self, key: int) -> bool:
         """True if all probe bits for ``key`` are set (may be a false positive)."""
-        # The filter solver's hottest call: _mix64 is inlined with literal
-        # constants, and h2 is mixed only once probe 0 hits.  idx steps by
-        # h2 mod m, which keeps it the documented (h1 mod m + i * (h2 mod m)) mod m.
+        # The filter solver's hottest call, and the one copy of the per-key
+        # hash: mix64 is inlined with literal constants.
         k = key & 0xFFFFFFFFFFFFFFFF
-        m = self.params.bit_count
-        buf = self.bits._buf
+        m = self._m
         z = k ^ self._seed_low
         z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
         z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
         idx = (z ^ z >> 31) % m
-        if not buf[idx >> 3] >> (idx & 7) & 1:
-            return False
         z = k ^ self._seed_high
         z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
         z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
         step = (z ^ z >> 31) % m
-        for _ in range(self.params.hash_count - 1):
+        self._last = (key, idx, step)
+        buf = self._buf
+        if not buf[idx >> 3] >> (idx & 7) & 1:
+            return False
+        for _ in self._steps:
             idx += step
             if idx >= m:
                 idx -= m

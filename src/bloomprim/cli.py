@@ -16,7 +16,14 @@ from pathlib import Path
 from .analysis import false_positive_stats
 from .bench import DESK_SIZES, FULL_SIZES, run_bench
 from .bloom import BloomParams
-from .graph import GeneratorConfig, GraphFormatError, generate_graph, load_graph, save_graph
+from .graph import (
+    GeneratorConfig,
+    GraphFormatError,
+    generate_graph,
+    load_graph,
+    loads_graph,
+    save_graph,
+)
 from .mst import prim_baseline, prim_bloom, recover_edges
 from .segmentation import PpmFormatError, load_ppm, save_labels, segment
 
@@ -111,9 +118,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _read_stdin() -> str:
+    """stdin's text, decoded as :func:`load_graph` decodes a path, so a
+    byte that is not UTF-8 fails the parse of its own line whatever
+    Python's stdin encoding is."""
+    raw = getattr(sys.stdin, "buffer", None)
+    if raw is None:
+        return sys.stdin.read()
+    return raw.read().decode("utf-8", errors="surrogateescape")
+
+
 def _cmd_mst(args) -> int:
     if args.graph == "-":
-        graph = load_graph(sys.stdin)
+        graph = loads_graph(_read_stdin())
     else:
         graph = load_graph(args.graph)
     if args.solver == "baseline":

@@ -51,12 +51,14 @@ left in the heap would then be dropped.  The start node is accepted
 edges pointing back at it from being selected.
 
 Each edge is pushed at most once, so a solve runs in O(|E| log |V|);
-the filter variant hashes once per node probed and once per node added,
-for O(k |V|) hashing with k the filter's hash count.  Besides the graph,
-a solve holds the heap, the best keys (8 bytes per node) and the filter
-if any; it allocates no array of one entry per edge, and the exact
-solve holds no other visited structure.  Both solvers are pure
-functions of their inputs and may run concurrently over a shared graph.
+the filter variant hashes each node it probes once, and an add reuses
+the hash of the probe just before it (the start node, added unprobed,
+is hashed by its add), for O(k |V|) bit tests with k the filter's hash
+count.  Besides the graph, a solve holds the heap, the best keys (8
+bytes per node) and the filter if any; it allocates no array of one
+entry per edge, and the exact solve holds no other visited structure.
+Both solvers are pure functions of their inputs and may run
+concurrently over a shared graph.
 
 Results carry the selected edges as a bit array indexed by edge id, from
 which the full tree is recoverable with :func:`recover_edges`.  The cost
@@ -116,6 +118,7 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
     if visited is not None:
         visited.add(start)
     edge_bits = BitArray(graph.edge_count)
+    edge_buf = edge_bits._buf
     total_cost = 0.0
     selected = 0
     resolved = 1
@@ -155,7 +158,7 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
         edge_id = order[key >> bits]
         total_cost += weight[edge_id]
         selected += 1
-        edge_bits.set(edge_id)
+        edge_buf[edge_id >> 3] |= 1 << (edge_id & 7)
 
     return MstResult(total_cost, edge_bits, selected, selected + 1)
 

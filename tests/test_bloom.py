@@ -171,3 +171,68 @@ def test_probe_rule_ports_to_uint64_arithmetic():
 
     assert packed((h1 % m + i * (h2 % m)) % m) == f.bits.tobytes()
     assert packed((h1 + i * h2) % m) != f.bits.tobytes()
+
+
+def _uint64_rule_bits(keys, seed, m, k):
+    """The filter bytes for ``keys`` by the documented rule in wrapping 64-bit words."""
+    keys = np.array([key % 2**64 for key in keys], dtype=np.uint64)
+    seed = np.array([seed % 2**64], dtype=np.uint64)
+    h1 = _mix64_uint64(keys ^ _mix64_uint64(seed ^ np.uint64(0x9E3779B97F4A7C15)))
+    h2 = _mix64_uint64(keys ^ _mix64_uint64(seed ^ np.uint64(0xC2B2AE3D27D4EB4F)))
+    m64 = np.uint64(m)
+    i = np.arange(k, dtype=np.uint64)[:, None]
+    hit = np.zeros(m, dtype=bool)
+    hit[((h1 % m64 + i * (h2 % m64)) % m64).ravel()] = True
+    return np.packbits(hit, bitorder="little").tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_interleaved_probes_and_adds_match_the_rule(seed):
+    # contains keeps the last probe's hash for the add of the same key;
+    # adds with no probe before them, probes never followed by an add,
+    # re-adds and keys equal mod 2**64 must all behave as if each call
+    # hashed afresh
+    rng = np.random.Generator(np.random.PCG64(seed))
+    hash_seed = [0, 77, -3, 2**64 + 9, 5, 2**63][seed]
+    f = BloomFilter.for_capacity(300, [0.01, 0.3][seed % 2], hash_seed=hash_seed)
+    m, k = f.params.bit_count, f.params.hash_count
+    pool = [
+        *rng.integers(0, 2**63, size=60).tolist(),
+        *(-key for key in rng.integers(1, 2**40, size=20).tolist()),
+        *(2**64 + key for key in range(5)),
+        *(2**70 + key for key in rng.integers(0, 2**63, size=5).tolist()),
+        *range(5),
+        -1,
+        -(2**64),
+        2**64 - 1,
+    ]
+    added = []
+    ref_bits = set()
+    adds = 0
+    for _ in range(2000):
+        key = pool[int(rng.integers(len(pool)))]
+        op = int(rng.integers(3))
+        if op == 0:
+            h1, h2 = hash_pair(key, hash_seed)
+            expected = all((h1 + i * h2) % m in ref_bits for i in range(k))
+            assert f.contains(key) is expected
+        if op == 1 or (op == 0 and rng.integers(2)):
+            f.add(key)
+            adds += 1
+            added.append(key)
+            h1, h2 = hash_pair(key, hash_seed)
+            ref_bits.update((h1 + i * h2) % m for i in range(k))
+        if op == 2:
+            # an add right after a probe of a different key
+            other = pool[int(rng.integers(len(pool)))]
+            f.contains(other)
+            f.add(key)
+            adds += 1
+            added.append(key)
+            h1, h2 = hash_pair(key, hash_seed)
+            ref_bits.update((h1 + i * h2) % m for i in range(k))
+    assert f.inserted_count == adds
+    assert len(added) > len({key % 2**64 for key in added})  # re-adds and aliases happened
+    assert f.bits.tobytes() == _uint64_rule_bits(added, hash_seed, m, k)
+    assert all(f.contains(key) for key in added)
+

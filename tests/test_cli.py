@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from bloomprim import PixelImage, loads_graph, save_ppm
 from bloomprim.cli import main
 from oracles import induced_kruskal
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +123,23 @@ class TestMst:
         code, _, err = run_cli(capsys, "mst", str(bad))
         assert code == 2
         assert "line 2: expected '<u> <v> <weight>'" in err
+
+    def test_non_utf8_byte_on_strict_stdin_is_parse_error_on_its_line(self):
+        # a strict UTF-8 stdin would raise UnicodeDecodeError (exit 1, no line)
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(ROOT / "src"),
+            "PYTHONIOENCODING": "utf-8:strict",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "bloomprim", "mst", "-"],
+            input=b"2 1\n0 1 0.5\xff\n",
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert b"line 2: expected '<u> <v> <weight>'" in proc.stderr
 
     def test_bad_epsilon_is_parameter_error(self, graph_file, capsys):
         code, _, err = run_cli(

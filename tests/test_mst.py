@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import math
 import tracemalloc
@@ -279,6 +280,40 @@ def test_filter_is_probed_once_per_node_at_its_best_key_pop():
             assert shadow.probes <= g.node_count - 1
             if epsilon == 0.01:
                 assert shadow.probes == g.node_count - 1
+
+
+_FROZEN_FILTER_SOLVES = {
+    # (graph, epsilon): (spanned nodes, sha256 over the part digests below)
+    ("gen5k-1", 0.01): (4997, "e1ead99cf1376ae1165fe15f8645e4807c5e946de188afcc15ea067247ee8d22"),
+    ("gen5k-1", 0.3): (4370, "8af74026be5093a65163f5ae310c643cc5fea8fdfa176fbf06a305e4a948fa30"),
+    ("gen5k-2", 0.01): (4992, "54346916cb9767c5325e4c7fc1f3a5820e10c86d97cb171b38468b632fd8a00f"),
+    ("gen5k-2", 0.3): (4370, "1c4f4ddeb8b7973d694831303b0bfe2a4aa63d5365a61b1e3e24c02e02ff67d3"),
+    ("card", 0.01): (4090, "5c776f2b3bec1ee6c05b56fdcdf06eafb636a823feb6f70207f89d6266572bc6"),
+    ("card", 0.3): (3573, "a88341b1c0a3c37e2d67ceae01b336f3196c75ba94e0761a1e13af753aa1026d"),
+}
+
+
+@pytest.mark.parametrize("name, epsilon", sorted(_FROZEN_FILTER_SOLVES))
+def test_frozen_filter_solve_outputs(name, epsilon):
+    """Filter solves on graphs far larger than the filter's own frozen
+    pattern keep their tree, filter bits, span and cost bit for bit."""
+    if name == "card":
+        g = _card_graph()
+    else:
+        g = generate_graph(GeneratorConfig(node_count=5000, seed=int(name[-1])))
+    f = BloomFilter.for_capacity(g.node_count, epsilon, hash_seed=5)
+    result = prim_bloom(g, 0, visited=f)
+    assert _outcome(result) == _outcome(prim_bloom(g, 0, epsilon=epsilon, hash_seed=5))
+    assert f.inserted_count == result.spanned_node_count
+    digest = hashlib.sha256()
+    for part in (
+        result.edge_bits.tobytes(),
+        f.bits.tobytes(),
+        str(result.spanned_node_count).encode(),
+        result.total_cost.hex().encode(),
+    ):
+        digest.update(hashlib.sha256(part).digest())
+    assert (result.spanned_node_count, digest.hexdigest()) == _FROZEN_FILTER_SOLVES[name, epsilon]
 
 
 class _CountingHeap:
