@@ -37,12 +37,6 @@ class BitArray:
             raise IndexError(f"bit {i} out of range [0, {self._nbits})")
         self._buf[i >> 3] |= 1 << (i & 7)
 
-    def test(self, i: int) -> bool:
-        """Return True if bit ``i`` is set."""
-        if not 0 <= i < self._nbits:
-            raise IndexError(f"bit {i} out of range [0, {self._nbits})")
-        return bool(self._buf[i >> 3] & (1 << (i & 7)))
-
     def popcount(self) -> int:
         """Number of set bits."""
         return int.from_bytes(self._buf, "little").bit_count()

@@ -116,9 +116,7 @@ class BloomFilter:
     """Probabilistic visited-set over integer keys.
 
     ``contains`` may return true for a key that was never added (a false
-    positive) but never returns false for an added key.  ``inserted_count``
-    counts ``add`` calls; callers that re-add keys should not rely on it
-    as a distinct-key count.
+    positive) but never returns false for an added key.
 
     Single-writer: no internal locking.  ``contains`` writes the
     last-probe record and only ``add`` reads it, so concurrent probes
@@ -128,8 +126,6 @@ class BloomFilter:
     __slots__ = (
         "params",
         "bits",
-        "inserted_count",
-        "hash_seed",
         "_seed_low",
         "_seed_high",
         "_m",
@@ -140,9 +136,7 @@ class BloomFilter:
 
     def __init__(self, params: BloomParams, hash_seed: int = 0):
         self.params = params
-        self.hash_seed = hash_seed
         self.bits = BitArray(params.bit_count)
-        self.inserted_count = 0
         self._seed_low, self._seed_high = _seed_words(hash_seed)
         self._m = params.bit_count
         self._buf = self.bits._buf
@@ -158,7 +152,7 @@ class BloomFilter:
         return cls(BloomParams.for_capacity(capacity, epsilon), hash_seed)
 
     def add(self, key: int) -> None:
-        """Insert ``key``: set its probe bits and bump ``inserted_count``."""
+        """Insert ``key``: set its probe bits."""
         last_key, idx, step = self._last
         if last_key != key:
             self.contains(key)
@@ -171,7 +165,6 @@ class BloomFilter:
             if idx >= m:
                 idx -= m
             buf[idx >> 3] |= 1 << (idx & 7)
-        self.inserted_count += 1
 
     def contains(self, key: int) -> bool:
         """True if all probe bits for ``key`` are set (may be a false positive)."""

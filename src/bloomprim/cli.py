@@ -21,7 +21,6 @@ from .graph import (
     GraphFormatError,
     generate_graph,
     load_graph,
-    loads_graph,
     save_graph,
 )
 from .mst import prim_baseline, prim_bloom, recover_edges
@@ -118,19 +117,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _read_stdin() -> str:
-    """stdin's text, decoded as :func:`load_graph` decodes a path, so a
-    byte that is not UTF-8 fails the parse of its own line whatever
-    Python's stdin encoding is."""
-    raw = getattr(sys.stdin, "buffer", None)
-    if raw is None:
-        return sys.stdin.read()
-    return raw.read().decode("utf-8", errors="surrogateescape")
-
-
 def _cmd_mst(args) -> int:
     if args.graph == "-":
-        graph = loads_graph(_read_stdin())
+        # stdin's bytes, so they decode as a file's do whatever its encoding
+        graph = load_graph(getattr(sys.stdin, "buffer", sys.stdin))
     else:
         graph = load_graph(args.graph)
     if args.solver == "baseline":

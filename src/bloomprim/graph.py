@@ -30,10 +30,13 @@ whitespace-separated literals of Python's ``int()`` (ids and counts) or
 ``float()`` (weights); ``1 <= node_count <= 2 * edge_count + 1``; only
 blank lines may follow the edges.  The first bad line is reported.
 
-:func:`loads_graph` is the parser and takes the whole text;
-:func:`load_graph` only reads a path or stream and passes its text on.
-:func:`save_graph` writes line by line to a path or stream, and
-:func:`dumps_graph` collects those lines in a string.
+The text has one in-memory codec.  :func:`dumps_graph` encodes and
+:func:`loads_graph` parses, each ``_BLOCK`` edge lines at a time, so
+besides the text (whole, or as encoded blocks) only one block of line
+strings or tokens is live.
+:func:`save_graph` only writes the encoded text to a path or stream, and
+:func:`load_graph` only reads a path or stream and decodes any bytes as
+UTF-8 with ``surrogateescape``.
 
 Random graph generation
 -----------------------
@@ -60,13 +63,14 @@ platform (and in any language with a PCG64 implementation).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 import numpy as np
 from numpy.random import PCG64, SeedSequence
+
+_BLOCK = 1 << 12  # edge lines per block of the text codec
 
 
 class GraphFormatError(ValueError):
@@ -162,27 +166,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edge_u)
-
-    def adjacent(self, node: int) -> tuple[list[int], list[float], list[int]]:
-        """Neighbour ids, edge weights, and edge ids incident to ``node``."""
-        keys = self._adj_key[self._span(node)]
-        edges = self._order[keys >> self._key_bits]
-        return (
-            (keys & ((1 << self._key_bits) - 1)).tolist(),
-            self.edge_weight[edges].tolist(),
-            edges.tolist(),
-        )
-
-    def degree(self, node: int) -> int:
-        """Number of edges incident to ``node``."""
-        span = self._span(node)
-        return span.stop - span.start
-
-    def _span(self, node: int) -> slice:
-        """The slice of ``_adj_key`` that holds ``node``'s adjacency list."""
-        if not 0 <= node < self.node_count:
-            raise IndexError(f"node {node} out of range [0, {self.node_count})")
-        return slice(int(self._indptr[node]), int(self._indptr[node + 1]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -283,33 +266,30 @@ def is_connected(graph: Graph) -> bool:
     return _component_labels(graph.node_count, graph.edge_u, graph.edge_v)[1] == 1
 
 
-def save_graph(graph: Graph, dest: str | Path | TextIO) -> None:
-    """Write ``graph`` in the text format described in the module docstring."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            save_graph(graph, fh)
-        return
-    dest.write(f"{graph.node_count} {graph.edge_count}\n")
-    u = graph.edge_u.tolist()
-    v = graph.edge_v.tolist()
-    w = graph.edge_weight.tolist()
-    for a, b, c in zip(u, v, w):
-        dest.write(f"{a} {b} {c!r}\n")
-
-
 def dumps_graph(graph: Graph) -> str:
-    """Serialize ``graph`` to a string."""
-    buf = io.StringIO()
-    save_graph(graph, buf)
-    return buf.getvalue()
+    """The text of ``graph`` in the format described in the module docstring."""
+    line = "{} {} {!r}\n".format
+    u, v, w = graph.edge_u, graph.edge_v, graph.edge_weight
+    cuts = (slice(lo, lo + _BLOCK) for lo in range(0, graph.edge_count, _BLOCK))
+    blocks = ["".join(map(line, u[c].tolist(), v[c].tolist(), w[c].tolist())) for c in cuts]
+    return "".join([f"{graph.node_count} {graph.edge_count}\n", *blocks])
+
+
+def save_graph(graph: Graph, dest: str | Path | TextIO) -> None:
+    """Write :func:`dumps_graph`'s text to a path (as UTF-8) or a text stream."""
+    text = dumps_graph(graph)
+    if isinstance(dest, (str, Path)):
+        Path(dest).write_text(text, encoding="utf-8")
+    else:
+        dest.write(text)
 
 
 def _edge_columns(lines: list[str]):
     """``(u, v, weight)`` arrays of the lines before the first one that does
     not parse, and its index; of all lines, and None, when every line parses."""
     u, v, w = np.empty(len(lines), np.int64), np.empty(len(lines), np.int64), np.empty(len(lines))
-    for lo in range(0, len(lines), 1 << 16):  # blocks bound the live token strings
-        block = lines[lo : lo + (1 << 16)]
+    for lo in range(0, len(lines), _BLOCK):  # blocks bound the live token strings
+        block = lines[lo : lo + _BLOCK]
         tokens = " | ".join([*block, ""]).split()
         try:
             # "|" ends each line and parses as no number, so with four tokens
@@ -330,16 +310,18 @@ def _edge_columns(lines: list[str]):
     return u, v, w, None
 
 
-def load_graph(source: str | Path | TextIO) -> Graph:
-    """Read a graph file or text stream whole and parse it with :func:`loads_graph`.
+def load_graph(source: str | Path | TextIO | BinaryIO) -> Graph:
+    """Read a graph file, text stream or binary stream whole and parse it
+    with :func:`loads_graph`.
 
-    A path is decoded as UTF-8 with ``surrogateescape``, as Python decodes
-    stdin under the C and C.UTF-8 locales, so a byte that is not UTF-8
-    fails the parse of its own line.
+    Bytes, from a path or a binary stream, are decoded as UTF-8 with
+    ``surrogateescape``, as Python decodes stdin under the C and C.UTF-8
+    locales, so a byte that is not UTF-8 fails the parse of its own line.
     """
-    if isinstance(source, (str, Path)):
-        return loads_graph(Path(source).read_text(encoding="utf-8", errors="surrogateescape"))
-    return loads_graph(source.read())
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="surrogateescape")
+    return loads_graph(data)
 
 
 def loads_graph(text: str) -> Graph:

@@ -73,6 +73,15 @@ def spanned_nodes(result, graph: Graph, start: int = 0) -> set[int]:
     return {start, *graph.edge_u[ids].tolist(), *graph.edge_v[ids].tolist()}
 
 
+def adjacent(graph: Graph, node: int) -> tuple[list[int], list[float], list[int]]:
+    """Neighbour ids, edge weights and edge ids of ``node``, read from the
+    graph's CSR keys in their stored order."""
+    keys = graph._adj_key[graph._indptr[node] : graph._indptr[node + 1]]
+    edges = graph._order[keys >> graph._key_bits]
+    neighbours = keys & ((1 << graph._key_bits) - 1)
+    return neighbours.tolist(), graph.edge_weight[edges].tolist(), edges.tolist()
+
+
 def tuple_prim(graph: Graph, start: int, visited) -> MstResult:
     """Prim over a heap of ``(weight, edge_id, sink)`` tuples.
 
@@ -92,7 +101,7 @@ def tuple_prim(graph: Graph, start: int, visited) -> MstResult:
     push = heapq.heappush
     pop = heapq.heappop
 
-    nodes, weights, edge_ids = graph.adjacent(start)
+    nodes, weights, edge_ids = adjacent(graph, start)
     for node, weight, edge_id in zip(nodes, weights, edge_ids):
         if node not in visited:
             push(heap, (weight, edge_id, node))
@@ -108,7 +117,7 @@ def tuple_prim(graph: Graph, start: int, visited) -> MstResult:
         edge_bits.set(edge_id)
         if spanned == node_count:
             break
-        nodes, weights, edge_ids = graph.adjacent(node)
+        nodes, weights, edge_ids = adjacent(graph, node)
         for nxt, nxt_weight, nxt_edge in zip(nodes, weights, edge_ids):
             if nxt not in visited:
                 push(heap, (nxt_weight, nxt_edge, nxt))

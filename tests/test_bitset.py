@@ -7,15 +7,14 @@ def test_new_array_is_empty():
     bits = BitArray(20)
     assert len(bits) == 20
     assert bits.popcount() == 0
-    assert not any(bits.test(i) for i in range(20))
+    assert bits.tobytes() == bytes(3)
 
 
 def test_set_and_test():
     bits = BitArray(100)
     for i in (0, 7, 8, 63, 64, 99):
         bits.set(i)
-    assert all(bits.test(i) for i in (0, 7, 8, 63, 64, 99))
-    assert not bits.test(1)
+    assert list(bits.iter_set()) == [0, 7, 8, 63, 64, 99]
     assert bits.popcount() == 6
 
 
@@ -54,7 +53,7 @@ def test_bounds_checked():
     with pytest.raises(IndexError):
         bits.set(8)
     with pytest.raises(IndexError):
-        bits.test(-1)
+        bits.set(-1)
 
 
 def test_negative_size_rejected():

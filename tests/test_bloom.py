@@ -70,7 +70,6 @@ class TestFilter:
         f = BloomFilter.for_capacity(1000, 0.01)
         for key in range(100):
             f.add(key)
-        assert f.inserted_count == 100
         assert f.bits.popcount() <= f.params.hash_count * 100
 
     def test_deterministic_across_instances(self):
@@ -208,7 +207,6 @@ def test_interleaved_probes_and_adds_match_the_rule(seed):
     ]
     added = []
     ref_bits = set()
-    adds = 0
     for _ in range(2000):
         key = pool[int(rng.integers(len(pool)))]
         op = int(rng.integers(3))
@@ -218,7 +216,6 @@ def test_interleaved_probes_and_adds_match_the_rule(seed):
             assert f.contains(key) is expected
         if op == 1 or (op == 0 and rng.integers(2)):
             f.add(key)
-            adds += 1
             added.append(key)
             h1, h2 = hash_pair(key, hash_seed)
             ref_bits.update((h1 + i * h2) % m for i in range(k))
@@ -227,11 +224,9 @@ def test_interleaved_probes_and_adds_match_the_rule(seed):
             other = pool[int(rng.integers(len(pool)))]
             f.contains(other)
             f.add(key)
-            adds += 1
             added.append(key)
             h1, h2 = hash_pair(key, hash_seed)
             ref_bits.update((h1 + i * h2) % m for i in range(k))
-    assert f.inserted_count == adds
     assert len(added) > len({key % 2**64 for key in added})  # re-adds and aliases happened
     assert f.bits.tobytes() == _uint64_rule_bits(added, hash_seed, m, k)
     assert all(f.contains(key) for key in added)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bloomprim import PixelImage, loads_graph, save_ppm
+from bloomprim import GraphFormatError, PixelImage, loads_graph, save_ppm
 from bloomprim.cli import main
 from oracles import induced_kruskal
 
@@ -140,6 +140,28 @@ class TestMst:
         )
         assert proc.returncode == 2
         assert b"line 2: expected '<u> <v> <weight>'" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"2 1 9\n",
+            b"2 1\n0 0 1.0\n",
+            b"3 2\n0 1 0.5\n1 2\n",
+            b"2 2\n0 1 0.5\n",
+            b"2 1\n0 1 0.5\ngarbage\n",
+            b"2 1\n0 1 0.5\xff\n",
+        ],
+    )
+    def test_stdin_parse_error_matches_the_parser(self, capsys, monkeypatch, data):
+        # read through the ASCII text layer, the 0xff byte would raise;
+        # stdin's bytes give the parser's own line number and message
+        with pytest.raises(GraphFormatError) as exc_info:
+            loads_graph(data.decode("utf-8", errors="surrogateescape"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+        code, _, err = run_cli(capsys, "mst", "-")
+        assert code == 2
+        assert err == f"bloomprim mst: parse error: {exc_info.value}\n"
 
     def test_bad_epsilon_is_parameter_error(self, graph_file, capsys):
         code, _, err = run_cli(

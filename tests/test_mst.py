@@ -304,7 +304,11 @@ def test_frozen_filter_solve_outputs(name, epsilon):
     f = BloomFilter.for_capacity(g.node_count, epsilon, hash_seed=5)
     result = prim_bloom(g, 0, visited=f)
     assert _outcome(result) == _outcome(prim_bloom(g, 0, epsilon=epsilon, hash_seed=5))
-    assert f.inserted_count == result.spanned_node_count
+    # the filter holds exactly the spanned nodes: a lost node is never added
+    fresh = BloomFilter(f.params, hash_seed=5)
+    for node in spanned_nodes(result, g):
+        fresh.add(node)
+    assert f.bits == fresh.bits
     digest = hashlib.sha256()
     for part in (
         result.edge_bits.tobytes(),

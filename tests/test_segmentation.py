@@ -15,6 +15,7 @@ from bloomprim import (
     segment,
 )
 from conftest import make_natural_image
+from oracles import adjacent
 
 
 def solid(r, g, b, width=2, height=2):
@@ -70,7 +71,7 @@ class TestImageToGraph:
     def test_node_ids_row_major(self):
         px = np.zeros((2, 3, 3), dtype=np.uint8)
         g = image_to_graph(PixelImage(px))
-        nodes, _, _ = g.adjacent(0)  # top-left pixel: east, south, south-east
+        nodes, _, _ = adjacent(g, 0)  # top-left pixel: east, south, south-east
         assert sorted(nodes) == [1, 3, 4]
 
 
