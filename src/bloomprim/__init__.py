@@ -35,7 +35,6 @@ from .graph import (
     GraphFormatError,
     dumps_graph,
     generate_graph,
-    is_connected,
     load_graph,
     loads_graph,
     save_graph,
@@ -64,7 +63,6 @@ __all__ = [
     "GeneratorConfig",
     "GraphFormatError",
     "generate_graph",
-    "is_connected",
     "load_graph",
     "loads_graph",
     "save_graph",

@@ -1,8 +1,13 @@
-"""Compact fixed-length bit arrays backed by a byte buffer."""
+"""Compact fixed-length bit arrays backed by a byte buffer.
+
+A :class:`BitArray` decodes its own bits: :meth:`BitArray.indices` is
+the one reader of its set bits, as one int64 array in ascending order,
+unpacked LSB first by numpy, so no caller re-derives the bit order.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator
+import numpy as np
 
 
 class BitArray:
@@ -41,14 +46,10 @@ class BitArray:
         """Number of set bits."""
         return int.from_bytes(self._buf, "little").bit_count()
 
-    def iter_set(self) -> Iterator[int]:
-        """Yield indices of set bits in ascending order."""
-        for byte_index, byte in enumerate(self._buf):
-            base = byte_index << 3
-            while byte:
-                low = byte & -byte
-                yield base + low.bit_length() - 1
-                byte ^= low
+    def indices(self) -> np.ndarray:
+        """Ascending int64 indices of the set bits; pad bits past ``nbits`` never count."""
+        packed = np.frombuffer(self._buf, np.uint8)
+        return np.flatnonzero(np.unpackbits(packed, count=self._nbits, bitorder="little"))
 
     def tobytes(self) -> bytes:
         """Copy of the backing buffer (LSB-first bit packing)."""

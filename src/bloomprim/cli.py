@@ -4,7 +4,7 @@ Subcommands: ``gen`` (write a random graph file), ``mst`` (solve a graph
 file), ``bench`` (the comparison sweep, CSV output), ``stats`` (filter
 sizing and false-positive moments), ``segment`` (MST-threshold image
 segmentation).  Exit codes: 0 on success, 1 on usage or parameter
-errors, 2 on I/O or parse errors.
+errors (a size too large to allocate is one), 2 on I/O or parse errors.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from .bloom import BloomParams
 from .graph import (
     GeneratorConfig,
     GraphFormatError,
+    _edge_lines,
     generate_graph,
     load_graph,
     save_graph,
 )
-from .mst import prim_baseline, prim_bloom, recover_edges
+from .mst import prim_baseline, prim_bloom
 from .segmentation import PpmFormatError, load_ppm, save_labels, segment
 
 
@@ -133,9 +134,9 @@ def _cmd_mst(args) -> int:
     print(f"selected_edges={result.selected_edge_count}")
     print(f"spanned_nodes={result.spanned_node_count}")
     if args.edges_out:
-        with open(args.edges_out, "w", encoding="utf-8") as fh:
-            for u, v, w in recover_edges(result, graph):
-                fh.write(f"{u} {v} {w!r}\n")
+        ids = result.edge_bits.indices()
+        lines = _edge_lines(graph.edge_u[ids], graph.edge_v[ids], graph.edge_weight[ids])
+        Path(args.edges_out).write_text(lines, encoding="utf-8")
     return 0
 
 
@@ -209,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"bloomprim {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size too large to allocate is a parameter error
+        print(f"bloomprim {args.command}: not enough memory: {exc}", file=sys.stderr)
         return 1
 
 

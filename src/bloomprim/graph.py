@@ -261,17 +261,16 @@ def _component_labels(node_count: int, u: np.ndarray, v: np.ndarray) -> tuple[np
     return first[root].astype(np.int32), int(first[-1]) + 1
 
 
-def is_connected(graph: Graph) -> bool:
-    """True iff the graph has one connected component."""
-    return _component_labels(graph.node_count, graph.edge_u, graph.edge_v)[1] == 1
+def _edge_lines(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> str:
+    """The ``"<u> <v> <weight>"`` line of each edge, the weight at full precision."""
+    return "".join(map("{} {} {!r}\n".format, u.tolist(), v.tolist(), w.tolist()))
 
 
 def dumps_graph(graph: Graph) -> str:
     """The text of ``graph`` in the format described in the module docstring."""
-    line = "{} {} {!r}\n".format
     u, v, w = graph.edge_u, graph.edge_v, graph.edge_weight
     cuts = (slice(lo, lo + _BLOCK) for lo in range(0, graph.edge_count, _BLOCK))
-    blocks = ["".join(map(line, u[c].tolist(), v[c].tolist(), w[c].tolist())) for c in cuts]
+    blocks = [_edge_lines(u[c], v[c], w[c]) for c in cuts]
     return "".join([f"{graph.node_count} {graph.edge_count}\n", *blocks])
 
 

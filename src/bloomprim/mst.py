@@ -206,7 +206,6 @@ def recover_edges(result: MstResult, graph: Graph) -> list[tuple[int, int, float
             f"edge bit array has {len(result.edge_bits)} bits, "
             f"graph has {graph.edge_count} edges"
         )
-    u = graph.edge_u
-    v = graph.edge_v
-    w = graph.edge_weight
-    return [(int(u[e]), int(v[e]), float(w[e])) for e in result.edge_bits.iter_set()]
+    ids = result.edge_bits.indices()
+    columns = (graph.edge_u[ids], graph.edge_v[ids], graph.edge_weight[ids])
+    return list(zip(*(c.tolist() for c in columns)))

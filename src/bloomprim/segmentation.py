@@ -15,11 +15,16 @@ south-east, then south-west, giving ``(W-1)*H + W*(H-1) + 2*(W-1)*(H-1)``
 edges for a ``W x H`` image.
 
 Supported image files are portable pixmaps with maxval 255, binary
-(``P6``) or plain (``P3``).  Bytes after a ``P6`` payload are ignored,
-since Netpbm lets a next image follow; a ``P3`` file must end after its
-samples.  Header dimensions size nothing: a file shorter than its header
-promises is rejected as truncated before any pixel buffer is built.
-``save_labels`` colors each label from a seeded random palette and
+(``P6``) or plain (``P3``).  The header is four tokens, the magic,
+width, height and maxval, separated by ASCII whitespace (space, tab,
+LF, CR, VT, FF); a ``#`` at the start of a token comments out the rest
+of its line.  In ``P6`` one whitespace byte follows maxval and the
+payload starts right after it, comment or not.  Bytes after a ``P6``
+payload are ignored, since Netpbm lets a next image follow; a ``P3``
+file must end after its samples.  Header dimensions size nothing: a
+file shorter than its header promises is rejected as truncated before
+any pixel buffer is built.
+``save_labels`` colors each label from a fixed-seed random palette and
 writes a ``label_count=<k>`` sidecar next to the image.
 """
 
@@ -116,8 +121,7 @@ def segment(
         result = prim_bloom(graph, 0, epsilon=epsilon, hash_seed=hash_seed)
     else:
         raise ValueError(f"solver must be 'baseline' or 'bloom', got {solver!r}")
-    selected = np.frombuffer(result.edge_bits.tobytes(), np.uint8)
-    ids = np.flatnonzero(np.unpackbits(selected, count=graph.edge_count, bitorder="little"))
+    ids = result.edge_bits.indices()
     ids = ids[graph.edge_weight[ids] <= threshold]
     labels, count = _component_labels(graph.node_count, graph.edge_u[ids], graph.edge_v[ids])
     return SegmentationResult(labels.reshape(image.height, image.width), count)
@@ -131,34 +135,26 @@ def _read_source(source: str | Path | bytes | BinaryIO) -> bytes:
     return source.read()
 
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+_WHITESPACE_RE = re.compile(rb"\s")  # space, \t, \n, \r, \x0b, \x0c
+# skipped whitespace and comments, then one token; possessive, so a comment
+# at the end of the data cannot be backtracked into and read as a token
+_HEADER_TOKEN_RE = re.compile(rb"(?:\s|#[^\n]*)*+(\S+)")
 
 
 def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """First ``count`` whitespace-separated header tokens ('#' starts a comment).
-
-    Returns the tokens and the offset one byte past the last token.
-    """
+    """First ``count`` header tokens and the offset one byte past the last."""
     tokens: list[bytes] = []
     pos = 0
     while len(tokens) < count:
-        while pos < len(data) and data[pos : pos + 1] in _WHITESPACE:
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        if pos >= len(data):
+        match = _HEADER_TOKEN_RE.match(data, pos)
+        if match is None:
             raise PpmFormatError("truncated header")
-        start = pos
-        while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
-            pos += 1
-        tokens.append(data[start:pos])
+        tokens.append(match[1])
+        pos = match.end()
     return tokens, pos
 
 
 _P3_BLOCK = 1 << 14  # bytes of samples tokenised at once
-_WHITESPACE_RE = re.compile(rb"\s")  # the six bytes of _WHITESPACE
 
 
 def _plain_samples(data: bytes, start: int, expected: int) -> np.ndarray:
@@ -220,7 +216,7 @@ def load_ppm(source: str | Path | bytes | BinaryIO) -> PixelImage:
 
     expected = width * height * 3
     if magic == b"P6":
-        if after >= len(data) or data[after : after + 1] not in _WHITESPACE:
+        if not _WHITESPACE_RE.match(data, after):
             raise PpmFormatError("expected single whitespace byte after maxval")
         payload = data[after + 1 : after + 1 + expected]
         if len(payload) < expected:
@@ -246,16 +242,15 @@ def ppm_bytes(image: PixelImage) -> bytes:
     return f"P6\n{image.width} {image.height}\n255\n".encode("ascii") + image.pixels.tobytes()
 
 
-def save_labels(
-    result: SegmentationResult, dest: str | Path, palette_seed: int = 0
-) -> tuple[Path, Path]:
+def save_labels(result: SegmentationResult, dest: str | Path) -> tuple[Path, Path]:
     """Write a label-colored P6 image plus a ``label_count=<k>`` sidecar.
 
-    Colors come from a PCG64-seeded palette, so identical results render
-    identically.  The sidecar lands next to ``dest`` with the suffix
-    replaced by ``.count.txt``.  Returns both paths.
+    Colors come from a palette drawn from PCG64 seeded with 0, so
+    identical results render identically.  The sidecar lands next to
+    ``dest`` with the suffix replaced by ``.count.txt``.  Returns both
+    paths.
     """
-    rng = np.random.Generator(np.random.PCG64(palette_seed))
+    rng = np.random.Generator(np.random.PCG64(0))
     palette = rng.integers(0, 256, size=(result.cluster_count, 3), dtype=np.uint8)
     colored = PixelImage(palette[result.labels])
     image_path = Path(dest)

@@ -69,7 +69,7 @@ def induced_kruskal(graph: Graph, nodes) -> tuple[float, set[int]]:
 
 def spanned_nodes(result, graph: Graph, start: int = 0) -> set[int]:
     """The start node plus every endpoint of the result's selected edges."""
-    ids = list(result.edge_bits.iter_set())
+    ids = result.edge_bits.indices()
     return {start, *graph.edge_u[ids].tolist(), *graph.edge_v[ids].tolist()}
 
 

@@ -231,7 +231,7 @@ def test_criterion_09_induced_mst(bench_report):
         cost, edges = induced_kruskal(graph, spanned_nodes(bloom, graph))
         if not (
             bloom.total_cost == t.bloom_cost
-            and set(bloom.edge_bits.iter_set()) == edges
+            and set(bloom.edge_bits.indices().tolist()) == edges
             and abs(bloom.total_cost - cost) <= 1e-9 * cost
         ):
             violations.append(t.run_index)

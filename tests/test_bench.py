@@ -32,7 +32,7 @@ class TestRunTrial:
         g = generate_graph(GeneratorConfig(node_count=200, seed=5))
         bloom = prim_bloom(g, 0, hash_seed=5)
         cost, edges = induced_kruskal(g, spanned_nodes(bloom, g))
-        assert set(bloom.edge_bits.iter_set()) == edges
+        assert set(bloom.edge_bits.indices().tolist()) == edges
         assert trial.bloom_cost == bloom.total_cost == pytest.approx(cost, rel=1e-9)
         assert trial.baseline_bytes == baseline_set_bytes(200)
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bloomprim import BitArray
@@ -14,7 +15,7 @@ def test_set_and_test():
     bits = BitArray(100)
     for i in (0, 7, 8, 63, 64, 99):
         bits.set(i)
-    assert list(bits.iter_set()) == [0, 7, 8, 63, 64, 99]
+    assert bits.indices().tolist() == [0, 7, 8, 63, 64, 99]
     assert bits.popcount() == 6
 
 
@@ -25,11 +26,25 @@ def test_set_is_idempotent():
     assert bits.popcount() == 1
 
 
-def test_iter_set_ascending():
+def test_indices_ascending():
     bits = BitArray(70)
     for i in (69, 3, 17, 8):
         bits.set(i)
-    assert list(bits.iter_set()) == [3, 8, 17, 69]
+    ids = bits.indices()
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [3, 8, 17, 69]
+
+
+def test_indices_of_empty_array():
+    ids = BitArray(0).indices()
+    assert ids.dtype == np.int64
+    assert ids.tolist() == []
+
+
+def test_indices_ignore_pad_bits():
+    bits = BitArray(13)
+    bits._buf[:] = b"\x01\xff"  # bits 13..15 of the last byte are padding
+    assert bits.indices().tolist() == [0, 8, 9, 10, 11, 12]
 
 
 def test_payload_bytes_rounds_up():

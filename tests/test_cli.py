@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bloomprim import GraphFormatError, PixelImage, loads_graph, save_ppm
+from bloomprim import (
+    GraphFormatError,
+    PixelImage,
+    loads_graph,
+    prim_baseline,
+    prim_bloom,
+    recover_edges,
+    save_ppm,
+)
 from bloomprim.cli import main
 from oracles import induced_kruskal
 
@@ -83,12 +91,15 @@ class TestMst:
         assert float(lines["cost"]) == pytest.approx(cost, rel=1e-9)
 
     def test_edges_out(self, graph_file, tmp_path, capsys):
-        edges_path = tmp_path / "edges.txt"
-        code, _, _ = run_cli(
-            capsys, "mst", str(graph_file), "--edges-out", str(edges_path)
-        )
-        assert code == 0
-        assert len(edges_path.read_text().strip().split("\n")) == 199
+        g = loads_graph(graph_file.read_text())
+        for solver, solve in (("baseline", prim_baseline), ("bloom", prim_bloom)):
+            edges_path = tmp_path / f"{solver}.txt"
+            code, _, _ = run_cli(
+                capsys, "mst", str(graph_file), "--solver", solver, "--edges-out", str(edges_path)
+            )
+            assert code == 0
+            expected = "".join(f"{u} {v} {w!r}\n" for u, v, w in recover_edges(solve(g), g))
+            assert edges_path.read_text(encoding="utf-8") == expected
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "mst", str(tmp_path / "absent.txt"))
@@ -206,6 +217,14 @@ class TestBench:
         code, _, _ = run_cli(capsys, "bench", "--sizes", "abc")
         assert code == 1
 
+    def test_size_beyond_memory_is_parameter_error(self, capsys):
+        # 71 PiB of random words, more than a 128 TiB address space maps: the
+        # allocation fails before any page is committed
+        code, _, err = run_cli(capsys, "bench", "--sizes", "10000000000000000", "--runs", "1")
+        assert code == 1
+        assert err.startswith("bloomprim bench: not enough memory: ")
+        assert err.count("\n") == 1
+
 
 class TestStats:
     def test_reference_numbers(self, capsys):
@@ -222,6 +241,15 @@ class TestStats:
     def test_bad_epsilon(self, capsys):
         code, _, _ = run_cli(capsys, "stats", "--nodes", "10", "--epsilon", "0")
         assert code == 1
+
+    def test_size_beyond_memory_is_parameter_error(self, capsys):
+        # 7.1 PiB of floats, more than a 128 TiB address space maps: the
+        # allocation fails before any page is committed
+        code, out, err = run_cli(capsys, "stats", "--nodes", "1000000000000000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bloomprim stats: not enough memory: ")
+        assert err.count("\n") == 1
 
 
 class TestSegment:

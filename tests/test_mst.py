@@ -27,7 +27,7 @@ class TestBaseline:
     def test_triangle(self, triangle):
         result = prim_baseline(triangle, 0)
         assert result.total_cost == 3.0
-        assert list(result.edge_bits.iter_set()) == [0, 1]
+        assert result.edge_bits.indices().tolist() == [0, 1]
         assert result.selected_edge_count == 2
         assert result.spanned_node_count == 3
 
@@ -46,7 +46,7 @@ class TestBaseline:
             result = prim_baseline(g, 0)
             oracle_cost, oracle_edges = kruskal(g)
             assert result.total_cost == pytest.approx(oracle_cost, rel=1e-9)
-            assert set(result.edge_bits.iter_set()) == oracle_edges
+            assert set(result.edge_bits.indices().tolist()) == oracle_edges
 
     def test_spans_connected_graph(self):
         g = generate_graph(GeneratorConfig(node_count=500, seed=8))
@@ -65,7 +65,7 @@ class TestBaseline:
         g = Graph(3, [0, 0, 1], [1, 2, 2], [1e308, 1.5e308, 1.2e308])
         for result in (prim_baseline(g, 0), prim_bloom(g, 0)):
             assert result.total_cost == math.inf
-            assert list(result.edge_bits.iter_set()) == [0, 2]
+            assert result.edge_bits.indices().tolist() == [0, 2]
 
 
 class TestBloomVariant:
@@ -94,7 +94,7 @@ class TestBloomVariant:
             g = generate_graph(GeneratorConfig(node_count=1000, seed=seed))
             bloom = prim_bloom(g, 0, hash_seed=seed)
             cost, edges = induced_kruskal(g, spanned_nodes(bloom, g))
-            assert set(bloom.edge_bits.iter_set()) == edges
+            assert set(bloom.edge_bits.indices().tolist()) == edges
             assert bloom.total_cost == pytest.approx(cost, rel=1e-9)
             if bloom.total_cost > prim_baseline(g, 0).total_cost:
                 dearer.append(seed)
@@ -148,7 +148,7 @@ class TestRecoverEdges:
     def test_ascending_edge_ids(self):
         g = generate_graph(GeneratorConfig(node_count=100, seed=3))
         result = prim_baseline(g, 0)
-        ids = list(result.edge_bits.iter_set())
+        ids = result.edge_bits.indices().tolist()
         assert ids == sorted(ids)
         assert len(recover_edges(result, g)) == 99
 
@@ -164,7 +164,7 @@ def test_edge_weight_ties_broken_by_edge_id():
 
     g = Graph(4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3], [1.0] * 6)
     result = prim_baseline(g, 0)
-    assert list(result.edge_bits.iter_set()) == [0, 1, 2]
+    assert result.edge_bits.indices().tolist() == [0, 1, 2]
     assert result.total_cost == 3.0
 
 

@@ -219,6 +219,28 @@ class TestPpmIo:
         with pytest.raises(PpmFormatError):
             load_ppm(data)
 
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"P6\n1 1\n# c", "truncated header"),  # comment at end of file, no newline
+            (b"P6#c 1 1 255\n" + bytes(3), "bad magic b'P6#c', expected P6 or P3"),
+            (b"P6\n1 1\n255#c\n" + bytes(3), "non-integer header fields [b'1', b'1', b'255#c']"),
+            (b"P6\x0b1\x0b1\x0b255\x0b\x01\x02\x03", (1, 1, b"\x01\x02\x03")),
+            (b"P3\x0c1\x0c1\x0c255\x0c4\x0c5\x0c6", (1, 1, b"\x04\x05\x06")),
+            (b"#a\nP6 #b\n#c\n2 #d\n1\t#e\n255\n" + bytes(range(6)), (2, 1, bytes(range(6)))),
+            # a comment after maxval is not skipped: P6 reads its bytes as pixels
+            (b"P6\n1 1\n255 # c\n", (1, 1, b"# c")),
+        ],
+    )
+    def test_header_grammar(self, data, expected):
+        if isinstance(expected, str):
+            with pytest.raises(PpmFormatError) as err:
+                load_ppm(data)
+            assert str(err.value) == expected
+        else:
+            img = load_ppm(data)
+            assert (img.width, img.height, img.pixels.tobytes()) == expected
+
     @pytest.mark.parametrize("magic", [b"P6", b"P3"])
     def test_huge_header_is_truncated_without_allocating(self, magic):
         data = magic + b"\n100000000000 100000000000\n255\n" + b"1 2 3 " * 4
