@@ -24,7 +24,7 @@ from .graph import (
     load_graph,
     save_graph,
 )
-from .mst import prim_baseline, prim_bloom
+from .mst import _selected_columns, prim_baseline, prim_bloom
 from .segmentation import PpmFormatError, load_ppm, save_labels, segment
 
 
@@ -134,8 +134,7 @@ def _cmd_mst(args) -> int:
     print(f"selected_edges={result.selected_edge_count}")
     print(f"spanned_nodes={result.spanned_node_count}")
     if args.edges_out:
-        ids = result.edge_bits.indices()
-        lines = _edge_lines(graph.edge_u[ids], graph.edge_v[ids], graph.edge_weight[ids])
+        lines = _edge_lines(*_selected_columns(result, graph))
         Path(args.edges_out).write_text(lines, encoding="utf-8")
     return 0
 

@@ -199,13 +199,17 @@ def prim_bloom(
     return _prim(graph, start, visited)
 
 
-def recover_edges(result: MstResult, graph: Graph) -> list[tuple[int, int, float]]:
-    """Selected edges as ``(u, v, weight)`` triples in ascending edge id."""
+def _selected_columns(result: MstResult, graph: Graph) -> tuple[np.ndarray, ...]:
+    """Endpoint and weight columns of the selected edges, in ascending edge id."""
     if len(result.edge_bits) != graph.edge_count:
         raise ValueError(
             f"edge bit array has {len(result.edge_bits)} bits, "
             f"graph has {graph.edge_count} edges"
         )
     ids = result.edge_bits.indices()
-    columns = (graph.edge_u[ids], graph.edge_v[ids], graph.edge_weight[ids])
-    return list(zip(*(c.tolist() for c in columns)))
+    return graph.edge_u[ids], graph.edge_v[ids], graph.edge_weight[ids]
+
+
+def recover_edges(result: MstResult, graph: Graph) -> list[tuple[int, int, float]]:
+    """Selected edges as ``(u, v, weight)`` triples in ascending edge id."""
+    return list(zip(*(c.tolist() for c in _selected_columns(result, graph))))

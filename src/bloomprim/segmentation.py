@@ -136,9 +136,9 @@ def _read_source(source: str | Path | bytes | BinaryIO) -> bytes:
 
 
 _WHITESPACE_RE = re.compile(rb"\s")  # space, \t, \n, \r, \x0b, \x0c
-# skipped whitespace and comments, then one token; possessive, so a comment
-# at the end of the data cannot be backtracked into and read as a token
-_HEADER_TOKEN_RE = re.compile(rb"(?:\s|#[^\n]*)*+(\S+)")
+# whitespace and comments, then one token; a comment runs to a newline or the
+# data's end and no token starts with '#', so no backtrack reads one as a token
+_HEADER_TOKEN_RE = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 
 
 def _header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:

@@ -1,8 +1,11 @@
+import importlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import bloomprim.segmentation as segmentation_module
 from bloomprim import (
     Graph,
     PixelImage,
@@ -240,6 +243,18 @@ class TestPpmIo:
         else:
             img = load_ppm(data)
             assert (img.width, img.height, img.pixels.tobytes()) == expected
+
+    def test_patterns_use_python_3_10_syntax(self, capsys):
+        # requires-python is >=3.10, whose re module rejects possessive
+        # quantifiers and atomic groups at compile time, so the module
+        # would fail to import there
+        parser = getattr(re, "_parser", None) or importlib.import_module("sre_parse")
+        patterns = [v for v in vars(segmentation_module).values() if isinstance(v, re.Pattern)]
+        assert patterns
+        for pattern in patterns:
+            parser.parse(pattern.pattern, pattern.flags).dump()
+            ops = capsys.readouterr().out
+            assert "POSSESSIVE_REPEAT" not in ops and "ATOMIC_GROUP" not in ops, pattern
 
     @pytest.mark.parametrize("magic", [b"P6", b"P3"])
     def test_huge_header_is_truncated_without_allocating(self, magic):
