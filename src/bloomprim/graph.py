@@ -32,8 +32,13 @@ blank lines may follow the edges.  The first bad line is reported.
 
 The text has one in-memory codec.  :func:`dumps_graph` encodes and
 :func:`loads_graph` parses, each ``_BLOCK`` edge lines at a time, so
-besides the text (whole, or as encoded blocks) only one block of line
-strings or tokens is live.
+besides the text (whole, or as encoded blocks) and the edge arrays only
+one block of line strings or tokens is live.  The parser splits the text
+into lines one piece at a time: a piece runs ``_PIECE`` characters or
+more, to just after a ``"\n"`` (which always ends a line) or to the end
+of the text.  At least ``edge_count + 1`` ``"\n"`` prove that no edge
+line is missing; only a text with fewer has its lines counted, piece by
+piece, before the edge arrays are allocated.
 :func:`save_graph` only writes the encoded text to a path or stream, and
 :func:`load_graph` only reads a path or stream and decodes any bytes as
 UTF-8 with ``surrogateescape``.
@@ -64,6 +69,7 @@ platform (and in any language with a PCG64 implementation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, TextIO
 
@@ -71,6 +77,7 @@ import numpy as np
 from numpy.random import PCG64, SeedSequence
 
 _BLOCK = 1 << 12  # edge lines per block of the text codec
+_PIECE = 1 << 17  # least characters of text split into lines at once by the parser
 
 
 class GraphFormatError(ValueError):
@@ -150,17 +157,22 @@ class Graph:
         self.edge_v = v
         self.edge_weight = w
 
-        # CSR adjacency over both edge directions, one key per entry
+        # CSR adjacency over both edge directions, one key per entry; src and
+        # rank are released once used, so neither is live at the keys' gather
         bits = max(1, (self.node_count - 1).bit_length())
         order = np.argsort(w, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order)) << bits
         src = np.concatenate([u, v])
-        self._adj_key = np.concatenate([rank | v, rank | u])[np.argsort(src, kind="stable")]
-        self._order = order
-        self._key_bits = bits
+        by_src = np.argsort(src, kind="stable")
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+        del src
+        keys = np.concatenate([rank | v, rank | u])
+        del rank
+        self._adj_key = keys[by_src]
+        self._order = order
+        self._key_bits = bits
         self._indptr = indptr
 
     @property
@@ -200,11 +212,11 @@ class GeneratorConfig:
             )
 
 
-def generate_graph(config: GeneratorConfig) -> Graph:
-    """Generate a connected random graph per the module-level procedure."""
+def _edge_pairs(config: GeneratorConfig, raw) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-4 of the module-level procedure: the surviving pairs ``(lo,
+    hi)`` in edge-id order, drawn from ``raw``.  Its temporaries die on
+    return, before :func:`generate_graph` builds the graph."""
     n = config.node_count
-    raw = PCG64(SeedSequence(config.seed)).random_raw
-
     backbone_parent = raw(n - 1) % np.arange(1, n, dtype=np.uint64)
     span = np.uint64(config.max_extra_edges - config.min_extra_edges + 1)
     counts = raw(n) % span + np.uint64(config.min_extra_edges)
@@ -221,6 +233,7 @@ def generate_graph(config: GeneratorConfig) -> Graph:
     )
     lo = np.minimum(u_all, v_all)
     hi = np.maximum(u_all, v_all)
+    del u_all, v_all
     not_loop = lo != hi
     lo, hi = lo[not_loop], hi[not_loop]
     # the first index of each pair is the least one in its run of equals,
@@ -230,10 +243,15 @@ def generate_graph(config: GeneratorConfig) -> Graph:
     sorted_pairs = pairs[by_pair]
     run_starts = np.flatnonzero(np.r_[True, sorted_pairs[1:] != sorted_pairs[:-1]])
     keep = np.sort(np.minimum.reduceat(by_pair, run_starts))
-    lo, hi = lo[keep], hi[keep]
+    return lo[keep], hi[keep]
 
+
+def generate_graph(config: GeneratorConfig) -> Graph:
+    """Generate a connected random graph per the module-level procedure."""
+    raw = PCG64(SeedSequence(config.seed)).random_raw
+    lo, hi = _edge_pairs(config, raw)
     weights = (raw(len(lo)) >> np.uint64(11)) * 2.0**-53
-    return Graph(n, lo, hi, weights)
+    return Graph(config.node_count, lo, hi, weights)
 
 
 def _component_labels(node_count: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -283,12 +301,27 @@ def save_graph(graph: Graph, dest: str | Path | TextIO) -> None:
         dest.write(text)
 
 
-def _edge_columns(lines: list[str]):
-    """``(u, v, weight)`` arrays of the lines before the first one that does
-    not parse, and its index; of all lines, and None, when every line parses."""
-    u, v, w = np.empty(len(lines), np.int64), np.empty(len(lines), np.int64), np.empty(len(lines))
-    for lo in range(0, len(lines), _BLOCK):  # blocks bound the live token strings
-        block = lines[lo : lo + _BLOCK]
+def _pieces(text: str):
+    """``text`` in pieces of ``_PIECE`` characters or more, each cut just
+    after a ``"\n"`` or at the end of the text.
+
+    A ``"\n"`` always ends a line, so the pieces' ``splitlines()`` are
+    the text's lines, and only one piece's list of lines need be live.
+    """
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _PIECE) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
+def _edge_columns(lines, edge_count: int):
+    """``(u, v, weight)`` arrays of the next ``edge_count`` lines before the
+    first one that does not parse, its index and the line; of all of them,
+    and None, when every line parses.  ``lines`` must hold that many."""
+    u, v, w = np.empty(edge_count, np.int64), np.empty(edge_count, np.int64), np.empty(edge_count)
+    for lo in range(0, edge_count, _BLOCK):  # blocks bound the live token strings
+        block = list(islice(lines, min(_BLOCK, edge_count - lo)))
         tokens = " | ".join([*block, ""]).split()
         try:
             # "|" ends each line and parses as no number, so with four tokens
@@ -305,7 +338,7 @@ def _edge_columns(lines: list[str]):
                 a, b, c = line.split()
                 u[i], v[i], w[i] = int(a), int(b), float(c)
             except (ValueError, OverflowError):
-                return u[:i], v[:i], w[:i], i
+                return u[:i], v[:i], w[:i], (i, line)
     return u, v, w, None
 
 
@@ -325,35 +358,39 @@ def load_graph(source: str | Path | TextIO | BinaryIO) -> Graph:
 
 def loads_graph(text: str) -> Graph:
     """Parse graph text, raising :class:`GraphFormatError` at its first bad line."""
-    lines = text.splitlines()
-    if not lines:
+    lines = chain.from_iterable(map(str.splitlines, _pieces(text)))
+    header = next(lines, None)
+    if header is None:
         raise GraphFormatError(1, "empty input, expected '<node_count> <edge_count>'")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise GraphFormatError(1, f"expected '<node_count> <edge_count>', got {lines[0]!r}")
+    fields = header.split()
+    if len(fields) != 2:
+        raise GraphFormatError(1, f"expected '<node_count> <edge_count>', got {header!r}")
     try:
-        node_count, edge_count = int(header[0]), int(header[1])
+        node_count, edge_count = int(fields[0]), int(fields[1])
     except ValueError:
-        raise GraphFormatError(1, f"non-integer header {lines[0]!r}") from None
+        raise GraphFormatError(1, f"non-integer header {header!r}") from None
     if edge_count < 0:
         raise GraphFormatError(1, f"edge_count must be >= 0, got {edge_count}")
     # checked before allocating, so the header alone cannot size an array
     if not 1 <= node_count <= 2 * edge_count + 1:
         raise GraphFormatError(1, f"node_count must be in [1, 2 * edge_count + 1], got {node_count}")
-    if edge_count > len(lines) - 1:
-        raise GraphFormatError(
-            len(lines) + 1, f"unexpected end of file, expected {edge_count} edge lines"
-        )
+    # every "\n" ends a line, so enough of them prove there is no end of
+    # file; only fewer need the lines counted
+    if text.count("\n") <= edge_count:
+        line_count = sum(map(len, map(str.splitlines, _pieces(text))))
+        if edge_count > line_count - 1:
+            raise GraphFormatError(
+                line_count + 1, f"unexpected end of file, expected {edge_count} edge lines"
+            )
 
-    *columns, bad_line = _edge_columns(lines[1 : edge_count + 1])
+    *columns, bad = _edge_columns(lines, edge_count)
     try:  # a line before an unparsable one may break an edge rule first
         graph = Graph(node_count, *columns)
     except _EdgeError as err:
         raise GraphFormatError(err.args[0] + 2, err.args[1]) from None
-    if bad_line is not None:
-        raise GraphFormatError(bad_line + 2, f"expected '<u> <v> <weight>', got {lines[bad_line + 1]!r}")
-    for extra in range(edge_count + 1, len(lines)):
-        if lines[extra].strip():
-            raise GraphFormatError(extra + 1, "trailing content after declared edges")
+    if bad is not None:
+        raise GraphFormatError(bad[0] + 2, f"expected '<u> <v> <weight>', got {bad[1]!r}")
+    for number, line in enumerate(lines, edge_count + 2):
+        if line.strip():
+            raise GraphFormatError(number, "trailing content after declared edges")
     return graph
-

@@ -79,6 +79,15 @@ class SegmentationResult:
 
 def image_to_graph(image: PixelImage) -> Graph:
     """Build the 8-neighbourhood pixel graph with squared-RGB-distance weights."""
+    return Graph(image.height * image.width, *_pixel_edges(image))
+
+
+def _pixel_edges(image: PixelImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(u, v, weight)`` columns of :func:`image_to_graph`'s edges.
+
+    The pixel ids, the widened pixels and the blocks die on return, before
+    the graph is built.
+    """
     h, w = image.height, image.width
     ids = np.arange(h * w, dtype=np.int64).reshape(h, w)
     px = image.pixels.astype(np.int32)  # a squared distance is at most 3 * 255**2
@@ -100,7 +109,7 @@ def image_to_graph(image: PixelImage) -> Graph:
     u = np.concatenate([b[0] for b in blocks])
     v = np.concatenate([b[1] for b in blocks])
     wt = np.concatenate([b[2] for b in blocks])
-    return Graph(h * w, u, v, wt)
+    return u, v, wt
 
 
 def segment(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import tracemalloc
 
 import numpy as np
 
@@ -71,6 +72,23 @@ def spanned_nodes(result, graph: Graph, start: int = 0) -> set[int]:
     """The start node plus every endpoint of the result's selected edges."""
     ids = result.edge_bits.indices()
     return {start, *graph.edge_u[ids].tolist(), *graph.edge_v[ids].tolist()}
+
+
+def traced_peak(fn, *args) -> int:
+    """tracemalloc's peak, in bytes, over one call of ``fn(*args)``: what the
+    call allocates, not what was live before it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def graph_nbytes(graph: Graph) -> int:
+    """Bytes of the arrays a graph holds."""
+    arrays = (graph.edge_u, graph.edge_v, graph.edge_weight, graph._order, graph._adj_key, graph._indptr)
+    return sum(a.nbytes for a in arrays)
 
 
 def adjacent(graph: Graph, node: int) -> tuple[list[int], list[float], list[int]]:

@@ -1,12 +1,12 @@
 import hashlib
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+import bloomprim.graph as graph_module
 from bloomprim import (
     GeneratorConfig,
     Graph,
@@ -18,7 +18,7 @@ from bloomprim import (
     save_graph,
 )
 from bloomprim.graph import _component_labels
-from oracles import adjacent
+from oracles import adjacent, graph_nbytes, traced_peak
 
 
 def component_count(g: Graph) -> int:
@@ -70,6 +70,13 @@ class TestGraphConstruction:
                     as_u + as_v,
                 )
                 assert adjacent(graph, node) == expected
+
+    def test_build_peak_memory_bounded_by_graph_size(self):
+        # the edge arrays are the caller's, so this counts what the build
+        # adds; it releases src and rank once they are used
+        g = generate_graph(GeneratorConfig(node_count=5000, seed=3))
+        peak = traced_peak(Graph, g.node_count, g.edge_u, g.edge_v, g.edge_weight)
+        assert peak < 1.5 * graph_nbytes(g)
 
 
 class TestGenerator:
@@ -151,6 +158,12 @@ class TestGenerator:
         with pytest.raises(ValueError):
             GeneratorConfig(node_count=10, min_extra_edges=5, max_extra_edges=2)
 
+    def test_peak_memory_bounded_by_graph_size(self):
+        # the candidate pairs die before the graph is built, so the peak is
+        # the build's, over the three edge arrays it is given
+        config = GeneratorConfig(node_count=5000, seed=3)
+        assert traced_peak(generate_graph, config) < 2.2 * graph_nbytes(generate_graph(config))
+
     def test_custom_extra_range(self):
         g = generate_graph(
             GeneratorConfig(node_count=50, min_extra_edges=2, max_extra_edges=2, seed=0)
@@ -196,6 +209,16 @@ class TestFileFormat:
             ("2 1\n0 1 inf\n", 2),
             ("3 2\n0 1 0.5\n1 2 x\n", 3),
             ("3 2\n0 1 0.5\n1 2 0.5\udcff\n", 3),  # a byte that is not UTF-8
+            # where the whole message is pinned, it stands in for the line:
+            # each str.splitlines break ends a line
+            *(
+                (f"3 2{eol}0 1 0.5{eol}1 2 x{eol}", "line 3: expected '<u> <v> <weight>', got '1 2 x'")
+                for eol in ("\r", "\r\n", "\v", "\f", "\x1c", "\x85", "\u2028")
+            ),
+            ("3 2\r0 1 0.5\r\n1 2 0.5\n\r\ngarbage", "line 5: trailing content after declared edges"),
+            ("4 3\n1 0 0.5\nbad\n", "line 4: unexpected end of file, expected 3 edge lines"),
+            ("3 2\n0 1 0.5\n1 2 x", "line 3: expected '<u> <v> <weight>', got '1 2 x'"),
+            ("2 1\n0 1 0.5\n\v\ngarbage\n", "line 5: trailing content after declared edges"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line, tmp_path):
@@ -206,6 +229,9 @@ class TestFileFormat:
         path.write_bytes(data)
         with pytest.raises(GraphFormatError) as exc_info:
             loads_graph(text)
+        if isinstance(line, str):
+            assert str(exc_info.value) == line
+            line = int(line.split(":")[0].removeprefix("line "))
         assert exc_info.value.line_number == line
         assert str(exc_info.value).startswith(f"line {line}: ")
         for source in (path, io.StringIO(text), io.BytesIO(data)):
@@ -232,6 +258,34 @@ class TestFileFormat:
                 loads_graph("\n".join(broken))
             assert exc_info.value.line_number == line
 
+    def test_parse_does_not_depend_on_piece_or_block_size(self, monkeypatch):
+        # with pieces of 7 characters, each nominal cut falls inside a line
+        # or between the "\r" and "\n" of a pair before it moves to just
+        # after the next "\n", and blocks of 3 lines split the edges; the
+        # parse must be the one of the default sizes
+        texts = [
+            "5 4\r\n0 1 0.5\r\n1 2 0.25\r\n2 3 0.125\r\n3 4 1e-3\r\n\r\n",
+            "5 4\r\n0 1 0.5\r1 2 0.25\v2 3 0.125\r\n3 4 1e-3\x85\u2028",
+            "5 4\r\n0 1 0.5\r\n1 2 0.25\r\n2 3 0.125\r\n",  # end of file
+            "5 4\r\n0 1 0.5\r\n1 2 0.25\r\n2 3 x\r\n3 4 0.5",  # bad line
+            "5 4\r\n0 1 0.5\r\n1 2 0.25\r\n2 1 0.5\r\n3 x 0.5",  # edge rule first
+            "5 4\r\n0 1 0.5\r\n1 2 0.25\r\n2 3 0.125\r\n3 4 1e-3\r\n\v\r\n9",  # trailing
+            dumps_graph(generate_graph(GeneratorConfig(node_count=40, seed=2))).replace("\n", "\r\n"),
+        ]
+
+        def outcome(text):
+            try:
+                return loads_graph(text)
+            except GraphFormatError as err:
+                return str(err)
+
+        expected = [outcome(text) for text in texts]
+        monkeypatch.setattr(graph_module, "_PIECE", 7)
+        monkeypatch.setattr(graph_module, "_BLOCK", 3)
+        assert [outcome(text) for text in texts] == expected
+        assert all(isinstance(e, Graph) for e in (*expected[:2], expected[-1]))
+        assert [e.split(":")[0] for e in expected[2:-1]] == ["line 5", "line 4", "line 4", "line 8"]
+
     def test_node_count_may_reach_twice_edge_count_plus_one(self):
         assert loads_graph("1 0").node_count == 1
         assert loads_graph("3 1\n0 1 0.5").node_count == 3
@@ -249,10 +303,10 @@ class TestFileFormat:
         assert g.edge_count == 1
 
     def test_parse_peak_memory_bounded_by_text_size(self):
-        # the parser holds the text's lines, one block of tokens and the
-        # arrays, and no second copy of the text
+        # the parser holds the lines of one piece of the text, one block of
+        # tokens and the edge arrays; its peak is the graph's build over them
         text = dumps_graph(generate_graph(GeneratorConfig(node_count=5000, seed=3)))
-        assert traced_peak(loads_graph, text) < 8 * len(text)
+        assert traced_peak(loads_graph, text) < 4 * len(text)
 
     def test_encode_peak_memory_bounded_by_text_size(self):
         # the encoder holds one block of line strings, the encoded blocks
@@ -277,16 +331,6 @@ class TestFileFormat:
         assert load_graph(path) == g
         with open(path, "rb") as fh:
             assert load_graph(fh) == g
-
-
-def traced_peak(fn, *args) -> int:
-    """tracemalloc's peak, in bytes, over one call of ``fn(*args)``."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestConnectivity:

@@ -1,7 +1,6 @@
 import hashlib
 import heapq
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -20,7 +19,7 @@ from bloomprim import (
     prim_bloom,
     recover_edges,
 )
-from oracles import induced_kruskal, is_forest, kruskal, spanned_nodes, tuple_prim
+from oracles import induced_kruskal, is_forest, kruskal, spanned_nodes, traced_peak, tuple_prim
 
 
 class TestBaseline:
@@ -357,21 +356,12 @@ def test_every_visited_answer_loses_a_node(monkeypatch):
     assert lost > 0
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_exact_solve_holds_no_visited_structure():
     """The exact solve keeps no set beside its best keys, so its peak does
     not exceed that of a filter solve, which holds a filter as well.
     Graphs of 1k nodes would not show it: their peak comes before a
     visited set grows."""
     for g in (_card_graph(), generate_graph(GeneratorConfig(node_count=11_000, seed=3))):
-        exact = _traced_peak(lambda: prim_baseline(g))
-        bloom = _traced_peak(lambda: prim_bloom(g, epsilon=0.01))
+        exact = traced_peak(prim_baseline, g)
+        bloom = traced_peak(lambda: prim_bloom(g, epsilon=0.01))
         assert exact <= bloom

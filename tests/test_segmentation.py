@@ -1,6 +1,5 @@
 import importlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from bloomprim import (
     segment,
 )
 from conftest import make_natural_image
-from oracles import adjacent
+from oracles import adjacent, graph_nbytes, traced_peak
 
 
 def solid(r, g, b, width=2, height=2):
@@ -76,6 +75,12 @@ class TestImageToGraph:
         g = image_to_graph(PixelImage(px))
         nodes, _, _ = adjacent(g, 0)  # top-left pixel: east, south, south-east
         assert sorted(nodes) == [1, 3, 4]
+
+    def test_peak_memory_bounded_by_graph_size(self):
+        # the pixel ids, widened pixels and edge blocks die before the
+        # graph is built, so the peak is the build's over the edge columns
+        image = make_natural_image(1, 64, 64)
+        assert traced_peak(image_to_graph, image) < 2.2 * graph_nbytes(image_to_graph(image))
 
 
 class TestSegment:
@@ -170,14 +175,8 @@ class TestPpmIo:
         px = rng.integers(0, 256, size=(256, 256, 3), dtype=np.uint8)
         rows = px.reshape(256, -1).tolist()
         data = b"P3\n256 256\n255\n" + "\n".join(" ".join(map(str, r)) for r in rows).encode()
-        tracemalloc.start()
-        try:
-            img = load_ppm(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(img.pixels, px)
-        assert peak < 4 * len(data)
+        assert np.array_equal(load_ppm(data).pixels, px)
+        assert traced_peak(load_ppm, data) < 4 * len(data)
 
     @pytest.mark.parametrize(
         "late, extra, message",
@@ -259,14 +258,12 @@ class TestPpmIo:
     @pytest.mark.parametrize("magic", [b"P6", b"P3"])
     def test_huge_header_is_truncated_without_allocating(self, magic):
         data = magic + b"\n100000000000 100000000000\n255\n" + b"1 2 3 " * 4
-        tracemalloc.start()
-        try:
+
+        def truncated():
             with pytest.raises(PpmFormatError, match="truncated pixel data"):
                 load_ppm(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+
+        assert traced_peak(truncated) < 100_000
 
     def test_p6_bytes_after_payload_ignored(self):
         first = bytes(range(6))
