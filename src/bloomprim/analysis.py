@@ -40,6 +40,8 @@ import numpy as np
 
 from .mst import MstResult
 
+_BLOCK = 1 << 16  # insertions whose terms false_positive_stats holds at once
+
 
 @dataclass(frozen=True)
 class FalsePositiveStats:
@@ -53,17 +55,27 @@ class FalsePositiveStats:
 def false_positive_stats(
     insert_count: int, bit_count: int, hash_count: float
 ) -> FalsePositiveStats:
-    """Expected false positives and variance for sequential insertions."""
+    """Expected false positives and variance for sequential insertions.
+
+    The terms are summed ``_BLOCK`` insertions at a time and the block
+    sums then pairwise, as numpy sums one array, so a call holds one
+    block of terms and 16 bytes per block.
+    """
     if insert_count < 1:
         raise ValueError(f"insert_count must be >= 1, got {insert_count}")
     if bit_count < 1:
         raise ValueError(f"bit_count must be >= 1, got {bit_count}")
     if hash_count < 1:
         raise ValueError(f"hash_count must be >= 1, got {hash_count}")
-    prior = np.arange(1, insert_count, dtype=np.float64)  # keys present before insert i
-    p = (1.0 - np.exp(-hash_count * prior / bit_count)) ** hash_count
-    mean = float(p.sum())
-    variance = float((p * (1.0 - p)).sum())
+    starts = range(1, insert_count, _BLOCK)
+    sums = np.empty((2, len(starts)))  # per block: sum of p_i, sum of p_i * (1 - p_i)
+    for j, lo in enumerate(starts):
+        # keys present before insert i
+        prior = np.arange(lo, min(lo + _BLOCK, insert_count), dtype=np.float64)
+        p = (1.0 - np.exp(-hash_count * prior / bit_count)) ** hash_count
+        sums[0, j] = p.sum()
+        sums[1, j] = (p * (1.0 - p)).sum()
+    mean, variance = sums.sum(axis=1).tolist()
     return FalsePositiveStats(mean, variance, math.sqrt(variance))
 
 

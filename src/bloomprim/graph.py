@@ -6,16 +6,27 @@ Every edge appears exactly twice across the adjacency lists, once per
 endpoint: a node's list holds the edges where it is ``u``, then those
 where it is ``v``, each in edge-id order.  An entry is one int64 key,
 ``rank << bits | neighbour``, where ``rank`` is the edge's position in
-``_order``, the stable argsort of the weights (equal weights fall back
-to the edge id), and ``bits = max(1, (node_count - 1).bit_length())``.
+``_order``, the edge ids sorted by weight (equal weights fall back to
+the edge id), and ``bits = max(1, (node_count - 1).bit_length())``.
 So keys order entries by ``(weight, edge_id)``, which is the order
 :mod:`bloomprim.mst` pops them in; the edge id is ``_order[key >>
-bits]`` and the neighbour ``key & (2**bits - 1)``.  Keys stay below
-``edge_count << bits < 2 * edge_count * node_count``, so they fit in
-int64 while ``edge_count * node_count < 2**62``; a connected graph would
-need over 2 * 10**9 edges, whose arrays alone take ~150 GB.  The keys
-and ``_order`` are derived from the edge arrays once per graph; equality
+bits]`` and the neighbour ``key & (2**bits - 1)``.  The keys and
+``_order`` are derived from the edge arrays once per graph; equality
 and the file format ignore them, and only :mod:`bloomprim.mst` reads them.
+
+Both orders come from sorts of unique int64 values, so no sort need be
+stable and any sort algorithm gives the same arrays.  ``_order`` is an
+LSD radix sort of the weights' bit patterns whose passes each sort
+``digit << id_bits | position`` (see ``_weight_order``).  The lists
+come from one sort of ``node << slot_bits | slot`` over the
+``2 * edge_count`` endpoint slots, slot ``e`` holding edge ``e``'s
+``u`` and slot ``edge_count + e`` its ``v``, with ``slot_bits =
+max(1, (2 * edge_count - 1).bit_length())``: a node's entries are its
+slots in ascending order.  Keys stay below ``2 * edge_count *
+node_count`` and those values below ``4 * edge_count * node_count``, so
+``Graph`` requires ``edge_count * node_count < 2**61`` and checks it
+before it sorts anything or allocates by ``node_count``; a connected
+graph would need over 1.5 * 10**9 edges, whose arrays alone take ~70 GB.
 
 Components are labelled from two endpoint arrays alone, by whole-array
 hook-and-shortcut rounds (Shiloach & Vishkin, J. Algorithms 1982), in
@@ -122,6 +133,37 @@ def _first_bad_edge(node_count: int, u, v, w) -> tuple[int, str] | None:
     return i, rules[firsts.index(i)][1].format(n=node_count, u=u[i], v=v[i], w=float(w[i]))
 
 
+def _weight_order(w: np.ndarray) -> np.ndarray:
+    """Edge ids in ``(weight, edge_id)`` order, from sorts of unique int64 keys.
+
+    A nonnegative double orders as the low 63 bits of its bit pattern;
+    the sign bit, set only on ``-0.0``, is in no digit, so ``-0.0`` ties
+    with ``0.0``.  Those 63 bits are cut into digits of ``63 - id_bits``
+    bits or fewer, counted from the top, and sorted least significant
+    digit first (LSD radix): a pass sorts ``digit << id_bits |
+    position``, the digit of the edge at each position of the order so
+    far, so equal digits keep that order.  A digit equal on every edge
+    leaves the order as it is and is skipped.
+    """
+    edge_count = len(w)
+    id_bits = max(1, (edge_count - 1).bit_length())
+    width = 63 - id_bits
+    word = w.view(np.int64)
+    positions = np.arange(edge_count)
+    order = None
+    for top in reversed(range(63, 0, -width)):
+        low = max(0, top - width)
+        digit = (word >> low) & ((1 << (top - low)) - 1)
+        if (digit == digit[:1]).all():
+            continue
+        key = (digit if order is None else digit[order]) << id_bits
+        key |= positions
+        key.sort()
+        key &= (1 << id_bits) - 1
+        order = key if order is None else order[key]
+    return positions if order is None else order
+
+
 class Graph:
     """Immutable undirected weighted graph.
 
@@ -149,6 +191,13 @@ class Graph:
         w = np.ascontiguousarray(edge_weight, dtype=np.float64)
         if not (u.ndim == v.ndim == w.ndim == 1 and len(u) == len(v) == len(w)):
             raise ValueError("edge arrays must be 1-d and of equal length")
+        edge_count = len(u)
+        # checked before anything is sorted or sized by node_count (see the
+        # module docstring)
+        if edge_count * int(node_count) >= 2**61:
+            raise ValueError(
+                f"edge_count * node_count must be below 2**61, got {edge_count} * {node_count}"
+            )
         bad = _first_bad_edge(node_count, u, v, w)
         if bad is not None:
             raise _EdgeError(*bad)
@@ -157,20 +206,35 @@ class Graph:
         self.edge_v = v
         self.edge_weight = w
 
-        # CSR adjacency over both edge directions, one key per entry; src and
-        # rank are released once used, so neither is live at the keys' gather
+        # CSR adjacency over both edge directions: sort the endpoint slots
+        # by node, each in the low bits of its sort value (module docstring),
+        # then replace each slot by its key
         bits = max(1, (self.node_count - 1).bit_length())
-        order = np.argsort(w, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order)) << bits
-        src = np.concatenate([u, v])
-        by_src = np.argsort(src, kind="stable")
+        order = _weight_order(w)
+        slot_bits = max(1, (2 * edge_count - 1).bit_length())
+        slots = np.empty(2 * edge_count, dtype=np.int64)
+        np.left_shift(u, slot_bits, out=slots[:edge_count])
+        np.left_shift(v, slot_bits, out=slots[edge_count:])
+        slots |= np.arange(2 * edge_count)
+        slots.sort()
+        slots &= (1 << slot_bits) - 1
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-        del src
-        keys = np.concatenate([rank | v, rank | u])
+        np.cumsum(
+            np.bincount(u, minlength=node_count) + np.bincount(v, minlength=node_count),
+            out=indptr[1:],
+        )
+        rank = np.empty_like(order)
+        rank[order] = np.arange(edge_count) << bits
+        keys = np.empty(2 * edge_count, dtype=np.int64)  # each slot's key
+        np.bitwise_or(rank, v, out=keys[:edge_count])
+        np.bitwise_or(rank, u, out=keys[edge_count:])
         del rank
-        self._adj_key = keys[by_src]
+        # gathered in place, a block at a time, so the build's peak is the
+        # keys beside the slots: no third array of 2 * edge_count entries
+        step = 1 << 14
+        for lo in range(0, 2 * edge_count, step):
+            slots[lo : lo + step] = keys[slots[lo : lo + step]]
+        self._adj_key = slots
         self._order = order
         self._key_bits = bits
         self._indptr = indptr

@@ -13,16 +13,17 @@ differ only in the filter it consults:
 
 Frontier entries are the graph's adjacency keys, single ints ``key =
 rank << bits | sink`` built once per :class:`~bloomprim.graph.Graph`:
-``rank`` is the edge's position in one stable argsort of the edge
-weights, so equal weights fall back to the edge id, and ``bits =
-max(1, (node_count - 1).bit_length())`` leaves room for the sink node.
+``rank`` is the edge's position in the edge ids sorted by weight,
+equal weights falling back to the edge id, and ``bits = max(1,
+(node_count - 1).bit_length())`` leaves room for the sink node.
 An edge enters the frontier only from the endpoint accepted first (by
 the time the other endpoint expands, that one is accepted, see below,
 and stays so), so each rank is pushed at most once and keys pop in
 exactly ``(weight, edge_id, sink)`` order, ``-0.0`` and ``0.0``
 comparing equal as floats do.  A pop decodes only the sink; the edge id
-and weight are read back on accepted pops alone.  Keys fit in int64
-while ``edge_count * node_count < 2**62`` (see :mod:`bloomprim.graph`).
+and weight are read back on accepted pops alone.  Keys fit in int64,
+since a graph has ``edge_count * node_count < 2**61`` (see
+:mod:`bloomprim.graph`).
 
 The visited record is one int64 per node, ``best[node]``: ``-1`` once
 the node is accepted, ``-2`` once it is lost to a false positive, and

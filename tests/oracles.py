@@ -171,6 +171,16 @@ def real_filter_fp_counts(
     return counts
 
 
+def whole_fp_moments(
+    insert_count: int, bit_count: int, hash_count: float
+) -> tuple[float, float]:
+    """Mean and variance of :func:`bloomprim.false_positive_stats`, its
+    closed form summed over one array of every insertion's term."""
+    prior = np.arange(1, insert_count, dtype=np.float64)
+    p = (1.0 - np.exp(-hash_count * prior / bit_count)) ** hash_count
+    return float(p.sum()), float((p * (1.0 - p)).sum())
+
+
 def set_bytes_per_insert(limit: int) -> list[int]:
     """:func:`bloomprim.analysis.baseline_set_bytes` of 0 to ``limit`` inserts,
     stepped one insert at a time."""
@@ -185,3 +195,20 @@ def set_bytes_per_insert(limit: int) -> list[int]:
             capacity = grown
         sizes.append(capacity * 16 + 216)
     return sizes
+
+
+def reference_csr(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(_order, _indptr, _adj_key, _key_bits)`` built as :class:`Graph`
+    first built them, with two stable argsorts: of the weights, and of the
+    endpoints ``u`` then ``v`` in edge-id order."""
+    u, v, w, n = graph.edge_u, graph.edge_v, graph.edge_weight, graph.node_count
+    bits = max(1, (n - 1).bit_length())
+    order = np.argsort(w, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) << bits
+    src = np.concatenate([u, v])
+    by_src = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    keys = np.concatenate([rank | v, rank | u])
+    return order, indptr, keys[by_src], bits

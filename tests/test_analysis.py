@@ -12,7 +12,7 @@ from bloomprim import (
     false_positive_stats,
     simulate_false_positive_counts,
 )
-from oracles import real_filter_fp_counts, set_bytes_per_insert
+from oracles import real_filter_fp_counts, set_bytes_per_insert, traced_peak, whole_fp_moments
 
 # (insert count, published mean, published stddev) for the 1% filter configuration
 PUBLISHED_MOMENTS = [
@@ -57,6 +57,23 @@ class TestFalsePositiveStats:
         high = false_positive_stats(1000, 9586, 7).mean
         # mean falls between the two integer roundings of the hash count
         assert high < frac < low
+
+    @pytest.mark.parametrize("n", [2, 65_536, 65_537, 65_538, 131_073, 1_000_003])
+    @pytest.mark.parametrize("epsilon", [0.01, 0.2])
+    def test_block_sums_match_whole_sum(self, n, epsilon):
+        params = BloomParams.for_capacity(n, epsilon)
+        fractional = params.bit_count * math.log(2) / n
+        for k in (params.hash_count, fractional):
+            stats = false_positive_stats(n, params.bit_count, k)
+            mean, variance = whole_fp_moments(n, params.bit_count, k)
+            assert stats.mean == pytest.approx(mean, rel=1e-12)
+            assert stats.variance == pytest.approx(variance, rel=1e-12)
+
+    def test_peak_memory_is_one_block(self):
+        # the whole sum held three float64 arrays of n entries: 24 MB here
+        params = BloomParams.for_capacity(10**6, 0.01)
+        peak = traced_peak(false_positive_stats, 10**6, params.bit_count, params.hash_count)
+        assert peak < 3_000_000
 
     @pytest.mark.parametrize("args", [(0, 10, 1), (10, 0, 1), (10, 10, 0)])
     def test_rejects_nonpositive_inputs(self, args):

@@ -243,8 +243,8 @@ class TestStats:
         assert code == 1
 
     def test_size_beyond_memory_is_parameter_error(self, capsys):
-        # 7.1 PiB of floats, more than a 128 TiB address space maps: the
-        # allocation fails before any page is committed
+        # 227 GiB of block sums (16 bytes per 65,536 insertions): refused
+        # by a host with less memory, before any page is committed
         code, out, err = run_cli(capsys, "stats", "--nodes", "1000000000000000")
         assert code == 1
         assert out == ""

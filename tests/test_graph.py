@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +12,30 @@ from bloomprim import (
     GeneratorConfig,
     Graph,
     GraphFormatError,
+    PixelImage,
     dumps_graph,
     generate_graph,
+    image_to_graph,
     load_graph,
     loads_graph,
     save_graph,
 )
 from bloomprim.graph import _component_labels
-from oracles import adjacent, graph_nbytes, traced_peak
+from conftest import make_natural_image
+from oracles import adjacent, graph_nbytes, reference_csr, traced_peak
+
+
+_TIED = generate_graph(GeneratorConfig(node_count=300, seed=4))
+
+
+def _reweighted(weights) -> Graph:
+    return Graph(_TIED.node_count, _TIED.edge_u, _TIED.edge_v, weights)
+
+
+def _blocky_image(side: int) -> PixelImage:
+    """Flat 8x8 tiles in a few shades: most pixel edges weigh 0."""
+    shade = (np.arange(side)[:, None] // 8 + np.arange(side)[None, :] // 8) % 3 * 90
+    return PixelImage(np.repeat(shade[:, :, None], 3, axis=2).astype(np.uint8))
 
 
 def component_count(g: Graph) -> int:
@@ -73,10 +90,57 @@ class TestGraphConstruction:
 
     def test_build_peak_memory_bounded_by_graph_size(self):
         # the edge arrays are the caller's, so this counts what the build
-        # adds; it releases src and rank once they are used
+        # adds: at its peak, the keys beside the sorted slots, the order and
+        # the ranks, as many bytes as the graph's own arrays
         g = generate_graph(GeneratorConfig(node_count=5000, seed=3))
         peak = traced_peak(Graph, g.node_count, g.edge_u, g.edge_v, g.edge_weight)
-        assert peak < 1.5 * graph_nbytes(g)
+        assert peak < 1.1 * graph_nbytes(g)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: _reweighted(np.full(_TIED.edge_count, 0.5)), id="all-equal"),
+            pytest.param(
+                lambda: _reweighted(np.where(np.arange(_TIED.edge_count) % 3, 0.0, -0.0)),
+                id="signed-zeros",
+            ),
+            pytest.param(
+                lambda: _reweighted(np.random.default_rng(5).integers(0, 4, _TIED.edge_count) * 1.0),
+                id="small-integer-ties",
+            ),
+            pytest.param(lambda: image_to_graph(make_natural_image(1, 64, 64)), id="image-64x64"),
+            pytest.param(lambda: image_to_graph(_blocky_image(64)), id="blocky-64x64"),
+            pytest.param(lambda: Graph(1, [], [], []), id="one-node"),
+            pytest.param(
+                lambda: Graph(7, [0, 2, 1, 0, 3], [6, 5, 6, 1, 4], [2.0, 1.0, 2.0, 0.0, 1.0]),
+                id="seven-nodes",
+            ),
+            *(
+                pytest.param(
+                    lambda seed=seed: generate_graph(GeneratorConfig(node_count=1000, seed=seed)),
+                    id=f"generated-1k-seed-{seed}",
+                )
+                for seed in range(20)
+            ),
+        ],
+    )
+    def test_csr_matches_reference_build(self, make):
+        g = make()
+        order, indptr, adj_key, bits = reference_csr(g)
+        assert g._key_bits == bits
+        for got, want in ((g._order, order), (g._indptr, indptr), (g._adj_key, adj_key)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_size_limit_checked_before_allocating(self):
+        # keys and endpoint slots would overflow int64; the check comes
+        # before anything is sorted or sized by node_count
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^edge_count \* node_count must be below 2\*\*61"):
+                Graph(2**62, [0], [1], [1.0])
+            assert tracemalloc.get_traced_memory()[1] < 4096
+        finally:
+            tracemalloc.stop()
 
 
 class TestGenerator:
