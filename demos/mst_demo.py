@@ -8,7 +8,6 @@ Bloom-filter variant, and compare the trees.
 """
 
 from bloomprim import (
-    ExactSet,
     GeneratorConfig,
     edge_error_rate,
     generate_graph,
@@ -40,7 +39,7 @@ print(f"edge-set error rate: {edge_error_rate(baseline, bloom):.4%}")
 
 # Substituting an exact set for the filter removes all false positives
 # and reproduces the baseline bit for bit.
-exact = prim_bloom(graph, 0, visited=ExactSet())
+exact = prim_bloom(graph, 0, visited=set())
 assert exact.total_cost == baseline.total_cost
 assert exact.edge_bits == baseline.edge_bits
 print("exact-set substitution reproduces the baseline exactly")

@@ -39,7 +39,7 @@ from .graph import (
     loads_graph,
     save_graph,
 )
-from .mst import ExactSet, MstResult, prim_baseline, prim_bloom, recover_edges
+from .mst import MstResult, prim_baseline, prim_bloom, recover_edges
 from .segmentation import (
     PixelImage,
     PpmFormatError,
@@ -68,7 +68,6 @@ __all__ = [
     "save_graph",
     "dumps_graph",
     "MstResult",
-    "ExactSet",
     "prim_baseline",
     "prim_bloom",
     "recover_edges",

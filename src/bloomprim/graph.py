@@ -14,15 +14,20 @@ bits]`` and the neighbour ``key & (2**bits - 1)``.  The keys and
 ``_order`` are derived from the edge arrays once per graph; equality
 and the file format ignore them, and only :mod:`bloomprim.mst` reads them.
 
-Both orders come from sorts of unique int64 values, so no sort need be
-stable and any sort algorithm gives the same arrays.  ``_order`` is an
-LSD radix sort of the weights' bit patterns whose passes each sort
-``digit << id_bits | position`` (see ``_weight_order``).  The lists
-come from one sort of ``node << slot_bits | slot`` over the
-``2 * edge_count`` endpoint slots, slot ``e`` holding edge ``e``'s
-``u`` and slot ``edge_count + e`` its ``v``, with ``slot_bits =
-max(1, (2 * edge_count - 1).bit_length())``: a node's entries are its
-slots in ascending order.  Keys stay below ``2 * edge_count *
+Every order here comes from sorts of unique int64 values, so no sort
+need be stable and any sort algorithm gives the same arrays.  One
+helper, ``_lsd_order``, orders positions by digits, least significant
+first, each pass sorting ``digit << id_bits | position``.  It gives
+``_order`` from the weights' bit patterns (``_weight_order``) and, with
+the digits ``(v, u)``, the repeats of each pair after its first
+occurrence (``_repeated``), which the generator drops and the validator
+reports.  The lists come from a separate in-place sort of ``node <<
+slot_bits | slot`` over the ``2 * edge_count`` endpoint slots, slot
+``e`` holding edge ``e``'s ``u`` and slot ``edge_count + e`` its ``v``,
+with ``slot_bits = max(1, (2 * edge_count - 1).bit_length())``: a
+node's entries are its slots in ascending order.  Sorting the slot
+values in place, not ordering positions, keeps the build's peak at the
+bytes of the graph's own arrays.  Keys stay below ``2 * edge_count *
 node_count`` and those values below ``4 * edge_count * node_count``, so
 ``Graph`` requires ``edge_count * node_count < 2**61`` and checks it
 before it sorts anything or allocates by ``node_count``; a connected
@@ -111,49 +116,55 @@ def _first_bad_edge(node_count: int, u, v, w) -> tuple[int, str] | None:
 
     The rules, in the order an edge is checked against them: both ids in
     ``[0, node_count)``, no self-loop, ``u < v``, a finite nonnegative
-    weight, and a pair no lower edge id already has.
+    weight, and a pair no lower edge id already has.  Repeats are sought
+    only among the edges before the first that breaks another rule, whose
+    ids are in range, and found exactly by :func:`_repeated`; that search
+    runs only when the values ``u * node_count + v`` of those edges
+    collide, as equal pairs' values do even where they wrap in int64.
     """
-    pairs = u * node_count + v
-    repeat = np.zeros(len(u), dtype=bool)
-    ordered = np.sort(pairs)
-    if (ordered[1:] == ordered[:-1]).any():  # rare, so only then find which
-        repeat[:] = True
-        repeat[np.unique(pairs, return_index=True)[1]] = False
     rules = (
         ((u < 0) | (u >= node_count) | (v < 0) | (v >= node_count), "node id out of range [0, {n})"),
         (u == v, "self-loop at node {u}"),
         (u > v, "endpoints must satisfy u < v, got {u} > {v}"),
         (~(np.isfinite(w) & (w >= 0)), "weight must be finite and >= 0, got {w!r}"),
-        (repeat, "duplicate edge ({u}, {v})"),
     )
     firsts = [int(bad.argmax()) if bad.any() else len(u) for bad, _ in rules]
     i = min(firsts)
-    if i == len(u):
+    message = rules[firsts.index(i)][1] if i < len(u) else None
+    values = np.sort(u[:i] * node_count + v[:i])
+    if (values[1:] == values[:-1]).any():  # rare, so only then search exactly
+        repeats = np.flatnonzero(_repeated(u[:i], v[:i]))
+        if len(repeats):
+            i, message = int(repeats[0]), "duplicate edge ({u}, {v})"
+    if message is None:
         return None
-    return i, rules[firsts.index(i)][1].format(n=node_count, u=u[i], v=v[i], w=float(w[i]))
+    return i, message.format(n=node_count, u=u[i], v=v[i], w=float(w[i]))
 
 
-def _weight_order(w: np.ndarray) -> np.ndarray:
-    """Edge ids in ``(weight, edge_id)`` order, from sorts of unique int64 keys.
+def _lsd_order(count: int, digits) -> np.ndarray:
+    """Positions ``0 .. count - 1`` ordered by ``digits``, least significant
+    digit first (LSD radix), ties kept in position order.
 
-    A nonnegative double orders as the low 63 bits of its bit pattern;
-    the sign bit, set only on ``-0.0``, is in no digit, so ``-0.0`` ties
-    with ``0.0``.  Those 63 bits are cut into digits of ``63 - id_bits``
-    bits or fewer, counted from the top, and sorted least significant
-    digit first (LSD radix): a pass sorts ``digit << id_bits |
-    position``, the digit of the edge at each position of the order so
-    far, so equal digits keep that order.  A digit equal on every edge
-    leaves the order as it is and is skipped.
+    Each digit is an int64 array of ``count`` values in ``[0, 2**(63 -
+    id_bits))``, ``id_bits = max(1, (count - 1).bit_length())``, which holds
+    while ``count * (largest digit + 1) <= 2**62``.  A pass sorts
+    ``digit << id_bits | position``, the digit of the item at each
+    position of the order so far, so the values are unique, any sort gives
+    the same order, and equal digits keep that order.  A digit equal on
+    every item leaves the order as it is and is skipped.  The inputs are
+    never written.
+
+    No caller checks this bound, as no caller can break it and go on:
+    :func:`_weight_order` cuts its digits to width, :class:`Graph` checks
+    ``edge_count * node_count < 2**61`` before it validates, and the
+    generator needs over ``2**62 / node_count`` candidate pairs to break
+    it, which below ``2**31`` nodes take over 16 GiB and from there on
+    make a graph (at least ``node_count - 1`` edges) past that limit.
     """
-    edge_count = len(w)
-    id_bits = max(1, (edge_count - 1).bit_length())
-    width = 63 - id_bits
-    word = w.view(np.int64)
-    positions = np.arange(edge_count)
+    id_bits = max(1, (count - 1).bit_length())
+    positions = np.arange(count)
     order = None
-    for top in reversed(range(63, 0, -width)):
-        low = max(0, top - width)
-        digit = (word >> low) & ((1 << (top - low)) - 1)
+    for digit in digits:
         if (digit == digit[:1]).all():
             continue
         key = (digit if order is None else digit[order]) << id_bits
@@ -162,6 +173,32 @@ def _weight_order(w: np.ndarray) -> np.ndarray:
         key &= (1 << id_bits) - 1
         order = key if order is None else order[key]
     return positions if order is None else order
+
+
+def _repeated(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of the positions whose pair ``(u[i], v[i])`` a lower position
+    already holds: all but the first occurrence of each pair."""
+    order = _lsd_order(len(u), (v, u))
+    su, sv = u[order], v[order]
+    repeat = np.zeros(len(u), dtype=bool)
+    repeat[order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]] = True
+    return repeat
+
+
+def _weight_order(w: np.ndarray) -> np.ndarray:
+    """Edge ids in ``(weight, edge_id)`` order, by :func:`_lsd_order`.
+
+    A nonnegative double orders as the low 63 bits of its bit pattern;
+    the sign bit, set only on ``-0.0``, is in no digit, so ``-0.0`` ties
+    with ``0.0``.  Those 63 bits are cut into digits of ``63 - id_bits``
+    bits or fewer, counted from the top, ``id_bits`` as in
+    :func:`_lsd_order`.
+    """
+    width = 63 - max(1, (len(w) - 1).bit_length())
+    word = w.view(np.int64)
+    tops = reversed(range(63, 0, -width))
+    digits = ((word >> max(0, top - width)) & ((1 << min(top, width)) - 1) for top in tops)
+    return _lsd_order(len(w), digits)
 
 
 class Graph:
@@ -300,13 +337,7 @@ def _edge_pairs(config: GeneratorConfig, raw) -> tuple[np.ndarray, np.ndarray]:
     del u_all, v_all
     not_loop = lo != hi
     lo, hi = lo[not_loop], hi[not_loop]
-    # the first index of each pair is the least one in its run of equals,
-    # so the sort need not be stable
-    pairs = lo * n + hi
-    by_pair = np.argsort(pairs)
-    sorted_pairs = pairs[by_pair]
-    run_starts = np.flatnonzero(np.r_[True, sorted_pairs[1:] != sorted_pairs[:-1]])
-    keep = np.sort(np.minimum.reduceat(by_pair, run_starts))
+    keep = ~_repeated(lo, hi)
     return lo[keep], hi[keep]
 
 

@@ -98,11 +98,6 @@ class MstResult:
     spanned_node_count: int
 
 
-# Exact visited set: substituting it into :func:`prim_bloom` removes all
-# false positives, so the result equals :func:`prim_baseline` bit for bit.
-ExactSet = set
-
-
 def _prim(graph: Graph, start: int, visited) -> MstResult:
     """Grow a tree from ``start``; ``visited`` is None or a filter to consult.
 
@@ -184,7 +179,7 @@ def prim_bloom(
 
     The filter is sized for ``graph.node_count`` keys at rate
     ``epsilon``.  Pass ``visited`` (any object with ``add`` and ``in``
-    over int keys, e.g. :data:`ExactSet`) to substitute the membership
+    over int keys, e.g. ``set()``) to substitute the membership
     structure; with an exact set the result equals
     :func:`prim_baseline` bit for bit.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import tracemalloc
 
 import numpy as np
@@ -212,3 +213,23 @@ def reference_csr(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     keys = np.concatenate([rank | v, rank | u])
     return order, indptr, keys[by_src], bits
+
+
+def first_bad_edge(node_count: int, u, v, w) -> tuple[int, str] | None:
+    """``(index, message)`` of the first edge that breaks one of
+    :class:`Graph`'s five rules, checked edge by edge and rule by rule in
+    a Python loop, or None."""
+    seen = set()
+    for i, (a, b, x) in enumerate(zip(u.tolist(), v.tolist(), w.tolist())):
+        if not (0 <= a < node_count and 0 <= b < node_count):
+            return i, f"node id out of range [0, {node_count})"
+        if a == b:
+            return i, f"self-loop at node {a}"
+        if a > b:
+            return i, f"endpoints must satisfy u < v, got {a} > {b}"
+        if not (math.isfinite(x) and x >= 0):
+            return i, f"weight must be finite and >= 0, got {x!r}"
+        if (a, b) in seen:
+            return i, f"duplicate edge ({a}, {b})"
+        seen.add((a, b))
+    return None

@@ -13,7 +13,6 @@ import pytest
 from bloomprim import (
     BloomFilter,
     BloomParams,
-    ExactSet,
     GeneratorConfig,
     baseline_set_bytes,
     false_positive_stats,
@@ -53,7 +52,7 @@ def test_criterion_01_oracle_equivalence():
         n = sizes[seed % len(sizes)]
         graph = generate_graph(GeneratorConfig(node_count=n, seed=seed))
         base = prim_baseline(graph, 0)
-        exact = prim_bloom(graph, 0, visited=ExactSet())
+        exact = prim_bloom(graph, 0, visited=set())
         cost_ok = (
             exact.total_cost == base.total_cost
             or abs(exact.total_cost - base.total_cost) <= 1e-9 * base.total_cost

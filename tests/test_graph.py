@@ -20,9 +20,9 @@ from bloomprim import (
     loads_graph,
     save_graph,
 )
-from bloomprim.graph import _component_labels
+from bloomprim.graph import _component_labels, _first_bad_edge, _lsd_order, _repeated
 from conftest import make_natural_image
-from oracles import adjacent, graph_nbytes, reference_csr, traced_peak
+from oracles import adjacent, first_bad_edge, graph_nbytes, reference_csr, traced_peak
 
 
 _TIED = generate_graph(GeneratorConfig(node_count=300, seed=4))
@@ -143,6 +143,70 @@ class TestGraphConstruction:
             tracemalloc.stop()
 
 
+def _set_repeats(pairs) -> list[bool]:
+    """Whether each pair occurred before it, by a set of the pairs seen."""
+    seen, repeats = set(), []
+    for pair in pairs:
+        repeats.append(pair in seen)
+        seen.add(pair)
+    return repeats
+
+
+class TestEdgeValidation:
+    # _first_bad_edge is called directly: Graph() at 2**33 nodes would
+    # allocate a 64 GiB _indptr
+
+    def test_distinct_pairs_whose_values_wrap_are_no_repeat(self):
+        # 0 * 2**33 + (2**31 + 5) and 2**31 * 2**33 + (2**31 + 5) are equal in int64
+        u, v = np.array([0, 2**31]), np.array([2**31 + 5] * 2)
+        assert _first_bad_edge(2**33, u, v, np.ones(2)) is None
+
+    def test_repeat_is_found_exactly_where_pair_values_wrap(self):
+        u, v = np.array([0, 2**31, 0]), np.array([2**31 + 5] * 3)
+        assert _first_bad_edge(2**33, u, v, np.ones(3)) == (2, "duplicate edge (0, 2147483653)")
+
+    def test_matches_reference_on_random_edge_lists(self):
+        rng = np.random.default_rng(15)
+        weights = np.array([0.5, 0.0, -0.0, -1.0, np.nan, np.inf])
+        found = set()
+        for _ in range(2000):
+            n = int(rng.integers(1, 6))
+            count = int(rng.integers(0, 12))
+            u, v = rng.integers(-1, n + 1, (2, count))
+            if rng.random() < 0.7:  # mostly in-range pairs, so later rules get reached
+                u, v = np.sort(rng.integers(0, n, (2, count)), axis=0)
+            w = rng.choice(weights, count, p=[0.9, 0.03, 0.03, 0.02, 0.01, 0.01])
+            expected = first_bad_edge(n, u, v, w)
+            assert _first_bad_edge(n, u, v, w) == expected
+            found.add(None if expected is None else expected[1].split()[0])
+        assert found == {None, "node", "self-loop", "endpoints", "weight", "duplicate"}
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [],
+            [(3, 4)],
+            [(3, 4), (3, 4)],
+            [(3, 4), (3, 5)],
+            [(3, 4), (2, 4)],
+            [(1, 2)] * 5,  # every digit equal on every pair
+        ],
+    )
+    def test_repeated_marks_all_but_first_occurrences(self, pairs):
+        u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        assert _repeated(u, v).tolist() == _set_repeats(pairs)
+
+    def test_repeated_on_random_lists_with_repeats(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            u, v = rng.integers(0, 6, (2, int(rng.integers(2, 40))))
+            before = u.copy(), v.copy()
+            assert _repeated(u, v).tolist() == _set_repeats(zip(u.tolist(), v.tolist()))
+            assert np.array_equal(u, before[0]) and np.array_equal(v, before[1])  # inputs unwritten
+            # least significant digit first, ties in position order: a stable lexsort
+            assert np.array_equal(_lsd_order(len(u), (v, u)), np.lexsort((v, u)))
+
+
 class TestGenerator:
     def test_two_nodes_single_edge(self):
         for seed in range(10):
@@ -226,7 +290,7 @@ class TestGenerator:
         # the candidate pairs die before the graph is built, so the peak is
         # the build's, over the three edge arrays it is given
         config = GeneratorConfig(node_count=5000, seed=3)
-        assert traced_peak(generate_graph, config) < 2.2 * graph_nbytes(generate_graph(config))
+        assert traced_peak(generate_graph, config) < 1.6 * graph_nbytes(generate_graph(config))
 
     def test_custom_extra_range(self):
         g = generate_graph(

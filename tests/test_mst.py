@@ -8,7 +8,6 @@ import pytest
 
 from bloomprim import (
     BloomFilter,
-    ExactSet,
     GeneratorConfig,
     Graph,
     PixelImage,
@@ -72,7 +71,7 @@ class TestBloomVariant:
         for seed in range(20):
             g = generate_graph(GeneratorConfig(node_count=200, seed=seed))
             base = prim_baseline(g, 0)
-            exact = prim_bloom(g, 0, visited=ExactSet())
+            exact = prim_bloom(g, 0, visited=set())
             assert exact.total_cost == base.total_cost
             assert exact.edge_bits == base.edge_bits
             assert exact.spanned_node_count == base.spanned_node_count
