@@ -16,20 +16,22 @@ and the file format ignore them, and only :mod:`bloomprim.mst` reads them.
 
 Every order here comes from sorts of unique int64 values, so no sort
 need be stable and any sort algorithm gives the same arrays.  One
-helper, ``_lsd_order``, orders positions by digits, least significant
-first, each pass sorting ``digit << id_bits | position``.  It gives
-``_order`` from the weights' bit patterns (``_weight_order``) and, with
-the digits ``(v, u)``, the repeats of each pair after its first
-occurrence (``_repeated``), which the generator drops and the validator
-reports.  The lists come from a separate in-place sort of ``node <<
-slot_bits | slot`` over the ``2 * edge_count`` endpoint slots, slot
-``e`` holding edge ``e``'s ``u`` and slot ``edge_count + e`` its ``v``,
-with ``slot_bits = max(1, (2 * edge_count - 1).bit_length())``: a
-node's entries are its slots in ascending order.  Sorting the slot
-values in place, not ordering positions, keeps the build's peak at the
-bytes of the graph's own arrays.  Keys stay below ``2 * edge_count *
-node_count`` and those values below ``4 * edge_count * node_count``, so
-``Graph`` requires ``edge_count * node_count < 2**61`` and checks it
+helper, ``_lsd_order``, orders positions by words, least significant
+first.  It cuts each word into digits narrow enough that every pass
+sorts the unique values ``digit << id_bits | position``, so its order is
+exact for any words, and no caller keeps a bound for it.  It gives
+``_order`` from the weights' bit patterns and, with the words ``(v,
+u)``, the repeats of each pair after its first occurrence
+(``_repeated``), which the generator drops and the validator reports.
+The lists come from a separate in-place sort of ``node << slot_bits |
+slot`` over the ``2 * edge_count`` endpoint slots, slot ``e`` holding
+edge ``e``'s ``u`` and slot ``edge_count + e`` its ``v``, with
+``slot_bits = max(1, (2 * edge_count - 1).bit_length())``: a node's
+entries are its slots in ascending order.  Sorting the slot values in
+place, not ordering positions, keeps the build's peak at the bytes of
+the graph's own arrays.  Keys stay below ``2 * edge_count * node_count``
+and those values below ``4 * edge_count * node_count``, so ``Graph``
+requires ``edge_count * node_count < 2**61`` and checks it
 before it sorts anything or allocates by ``node_count``; a connected
 graph would need over 1.5 * 10**9 edges, whose arrays alone take ~70 GB.
 
@@ -133,7 +135,7 @@ def _first_bad_edge(node_count: int, u, v, w) -> tuple[int, str] | None:
     message = rules[firsts.index(i)][1] if i < len(u) else None
     values = np.sort(u[:i] * node_count + v[:i])
     if (values[1:] == values[:-1]).any():  # rare, so only then search exactly
-        repeats = np.flatnonzero(_repeated(u[:i], v[:i]))
+        repeats = np.flatnonzero(_repeated(u[:i], v[:i], node_count))
         if len(repeats):
             i, message = int(repeats[0]), "duplicate edge ({u}, {v})"
     if message is None:
@@ -141,64 +143,48 @@ def _first_bad_edge(node_count: int, u, v, w) -> tuple[int, str] | None:
     return i, message.format(n=node_count, u=u[i], v=v[i], w=float(w[i]))
 
 
-def _lsd_order(count: int, digits) -> np.ndarray:
-    """Positions ``0 .. count - 1`` ordered by ``digits``, least significant
-    digit first (LSD radix), ties kept in position order.
+def _lsd_order(count: int, words, bits: int) -> np.ndarray:
+    """Positions ``0 .. count - 1`` ordered by ``words``, least significant
+    word first (LSD radix), ties kept in position order.
 
-    Each digit is an int64 array of ``count`` values in ``[0, 2**(63 -
-    id_bits))``, ``id_bits = max(1, (count - 1).bit_length())``, which holds
-    while ``count * (largest digit + 1) <= 2**62``.  A pass sorts
-    ``digit << id_bits | position``, the digit of the item at each
-    position of the order so far, so the values are unique, any sort gives
-    the same order, and equal digits keep that order.  A digit equal on
-    every item leaves the order as it is and is skipped.  The inputs are
-    never written.
-
-    No caller checks this bound, as no caller can break it and go on:
-    :func:`_weight_order` cuts its digits to width, :class:`Graph` checks
-    ``edge_count * node_count < 2**61`` before it validates, and the
-    generator needs over ``2**62 / node_count`` candidate pairs to break
-    it, which below ``2**31`` nodes take over 16 GiB and from there on
-    make a graph (at least ``node_count - 1`` edges) past that limit.
+    Each word is an int64 array of ``count`` items whose low ``bits`` bits
+    (``bits <= 63``) are its value; higher bits are ignored.  A word is
+    cut into digits of ``63 - id_bits`` bits or fewer, counted from the
+    top, ``id_bits = max(1, (count - 1).bit_length())``, so a pass sorts
+    the unique values ``digit << id_bits | position``, the digit of the
+    item at each position of the order so far: any sort gives the same
+    order, and equal digits keep that order.  A digit equal on every item
+    leaves the order as it is and is skipped.  The inputs are never
+    written.
     """
     id_bits = max(1, (count - 1).bit_length())
+    width = 63 - id_bits
     positions = np.arange(count)
     order = None
-    for digit in digits:
-        if (digit == digit[:1]).all():
-            continue
-        key = (digit if order is None else digit[order]) << id_bits
-        key |= positions
-        key.sort()
-        key &= (1 << id_bits) - 1
-        order = key if order is None else order[key]
+    for word in words:
+        for top in reversed(range(bits, 0, -width)):
+            key = word.copy() if order is None else word[order]
+            key >>= max(0, top - width)
+            key &= (1 << min(top, width)) - 1
+            if (key == key[:1]).all():
+                continue
+            key <<= id_bits
+            key |= positions
+            key.sort()
+            key &= (1 << id_bits) - 1
+            order = key if order is None else order[key]
     return positions if order is None else order
 
 
-def _repeated(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _repeated(u: np.ndarray, v: np.ndarray, node_count: int) -> np.ndarray:
     """Mask of the positions whose pair ``(u[i], v[i])`` a lower position
-    already holds: all but the first occurrence of each pair."""
-    order = _lsd_order(len(u), (v, u))
+    already holds: all but the first occurrence of each pair.  Ids must be
+    in ``[0, node_count)``."""
+    order = _lsd_order(len(u), (v, u), max(1, (node_count - 1).bit_length()))
     su, sv = u[order], v[order]
     repeat = np.zeros(len(u), dtype=bool)
     repeat[order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]] = True
     return repeat
-
-
-def _weight_order(w: np.ndarray) -> np.ndarray:
-    """Edge ids in ``(weight, edge_id)`` order, by :func:`_lsd_order`.
-
-    A nonnegative double orders as the low 63 bits of its bit pattern;
-    the sign bit, set only on ``-0.0``, is in no digit, so ``-0.0`` ties
-    with ``0.0``.  Those 63 bits are cut into digits of ``63 - id_bits``
-    bits or fewer, counted from the top, ``id_bits`` as in
-    :func:`_lsd_order`.
-    """
-    width = 63 - max(1, (len(w) - 1).bit_length())
-    word = w.view(np.int64)
-    tops = reversed(range(63, 0, -width))
-    digits = ((word >> max(0, top - width)) & ((1 << min(top, width)) - 1) for top in tops)
-    return _lsd_order(len(w), digits)
 
 
 class Graph:
@@ -206,7 +192,10 @@ class Graph:
 
     Parameters are validated on construction: edges must satisfy
     ``0 <= u < v < node_count``, weights must be finite and nonnegative,
-    and no pair may repeat.
+    and no pair may repeat.  Every array the graph holds is read-only.
+    Edge columns that are already contiguous arrays of the right dtype
+    are not copied: the graph holds read-only views of them, so a caller
+    must not write to arrays it passed in.
     """
 
     __slots__ = (
@@ -239,15 +228,16 @@ class Graph:
         if bad is not None:
             raise _EdgeError(*bad)
         self.node_count = int(node_count)
-        self.edge_u = u
-        self.edge_v = v
-        self.edge_weight = w
+        # views, so that making them read-only leaves the caller's arrays as they are
+        self.edge_u, self.edge_v, self.edge_weight = u.view(), v.view(), w.view()
 
         # CSR adjacency over both edge directions: sort the endpoint slots
         # by node, each in the low bits of its sort value (module docstring),
         # then replace each slot by its key
         bits = max(1, (self.node_count - 1).bit_length())
-        order = _weight_order(w)
+        # a valid weight orders as the low 63 bits of its bit pattern; the
+        # sign bit, set only on -0.0, is ignored, so -0.0 ties with 0.0
+        order = _lsd_order(edge_count, (w.view(np.int64),), 63)
         slot_bits = max(1, (2 * edge_count - 1).bit_length())
         slots = np.empty(2 * edge_count, dtype=np.int64)
         np.left_shift(u, slot_bits, out=slots[:edge_count])
@@ -271,6 +261,8 @@ class Graph:
         step = 1 << 14
         for lo in range(0, 2 * edge_count, step):
             slots[lo : lo + step] = keys[slots[lo : lo + step]]
+        for array in (self.edge_u, self.edge_v, self.edge_weight, order, indptr, slots):
+            array.flags.writeable = False
         self._adj_key = slots
         self._order = order
         self._key_bits = bits
@@ -337,7 +329,7 @@ def _edge_pairs(config: GeneratorConfig, raw) -> tuple[np.ndarray, np.ndarray]:
     del u_all, v_all
     not_loop = lo != hi
     lo, hi = lo[not_loop], hi[not_loop]
-    keep = ~_repeated(lo, hi)
+    keep = ~_repeated(lo, hi, n)
     return lo[keep], hi[keep]
 
 

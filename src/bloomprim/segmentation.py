@@ -38,7 +38,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .graph import Graph, _component_labels
-from .mst import prim_baseline, prim_bloom
+from .mst import _selected_columns, prim_baseline, prim_bloom
 
 
 class PpmFormatError(ValueError):
@@ -130,9 +130,9 @@ def segment(
         result = prim_bloom(graph, 0, epsilon=epsilon, hash_seed=hash_seed)
     else:
         raise ValueError(f"solver must be 'baseline' or 'bloom', got {solver!r}")
-    ids = result.edge_bits.indices()
-    ids = ids[graph.edge_weight[ids] <= threshold]
-    labels, count = _component_labels(graph.node_count, graph.edge_u[ids], graph.edge_v[ids])
+    u, v, w = _selected_columns(result, graph)
+    keep = w <= threshold
+    labels, count = _component_labels(graph.node_count, u[keep], v[keep])
     return SegmentationResult(labels.reshape(image.height, image.width), count)
 
 

@@ -88,6 +88,15 @@ class TestGraphConstruction:
                 )
                 assert adjacent(graph, node) == expected
 
+    def test_arrays_are_read_only_and_callers_keep_theirs(self):
+        u, v, w = np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([1.0, 2.0, 3.0])
+        g = Graph(3, u, v, w)
+        for array in (g.edge_u, g.edge_v, g.edge_weight, g._order, g._indptr, g._adj_key):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        u[0] = w[0] = 0  # the caller's arrays stay writeable
+        assert u.flags.writeable and v.flags.writeable and w.flags.writeable
+
     def test_build_peak_memory_bounded_by_graph_size(self):
         # the edge arrays are the caller's, so this counts what the build
         # adds: at its peak, the keys beside the sorted slots, the order and
@@ -194,17 +203,45 @@ class TestEdgeValidation:
     )
     def test_repeated_marks_all_but_first_occurrences(self, pairs):
         u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        assert _repeated(u, v).tolist() == _set_repeats(pairs)
+        assert _repeated(u, v, 6).tolist() == _set_repeats(pairs)
 
     def test_repeated_on_random_lists_with_repeats(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             u, v = rng.integers(0, 6, (2, int(rng.integers(2, 40))))
             before = u.copy(), v.copy()
-            assert _repeated(u, v).tolist() == _set_repeats(zip(u.tolist(), v.tolist()))
+            assert _repeated(u, v, 6).tolist() == _set_repeats(zip(u.tolist(), v.tolist()))
             assert np.array_equal(u, before[0]) and np.array_equal(v, before[1])  # inputs unwritten
             # least significant digit first, ties in position order: a stable lexsort
-            assert np.array_equal(_lsd_order(len(u), (v, u)), np.lexsort((v, u)))
+            assert np.array_equal(_lsd_order(len(u), (v, u), 3), np.lexsort((v, u)))
+
+    def test_repeat_is_found_exactly_among_ids_of_63_bits(self):
+        # pair keys, and digits as wide as the ids, would wrap in int64
+        n = 2**62 + 4
+        u, v = np.array([n - 3, 1, n - 3]), np.array([n - 1, 3, n - 1])
+        assert _repeated(u, v, n).tolist() == [False, False, True]
+        assert _first_bad_edge(n, u, v, np.ones(3)) == (
+            2,
+            "duplicate edge (4611686018427387905, 4611686018427387907)",
+        )
+
+    def test_lsd_order_cuts_wide_words_into_digits(self):
+        # 62-bit words need two digits each beside 1,000 positions
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            pool = rng.integers(0, 2**62, 50)
+            words = rng.choice(pool, (2, 1000))
+            assert np.array_equal(_lsd_order(1000, words, 62), np.lexsort(words))
+
+    def test_lsd_order_ignores_bits_above_its_width(self):
+        rng = np.random.default_rng(17)
+        for bits in (1, 5, 40, 62, 63):  # at 63 only the sign bit is ignored
+            low = rng.choice(rng.integers(0, 2**bits - 1, 20, endpoint=True), (2, 300))
+            high = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, (2, 300))
+            words = low | (high >> bits << bits)
+            before = words.copy()
+            assert np.array_equal(_lsd_order(300, words, bits), np.lexsort(low))
+            assert np.array_equal(words, before)  # inputs unwritten
 
 
 class TestGenerator:
