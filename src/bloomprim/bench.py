@@ -144,16 +144,20 @@ def run_bench(
     seed: int = 0,
     progress: Callable[[str], None] | None = None,
 ) -> BenchReport:
-    """Run the full sweep and aggregate one record per size."""
+    """Run the full sweep and aggregate one record per size.
+
+    Every size is checked by :class:`GeneratorConfig` and
+    :meth:`BloomParams.for_capacity` before the first trial, so a bad size
+    or ``epsilon`` fails with their message before any work starts.
+    """
     sizes = tuple(sizes)
     if not sizes:
         raise ValueError("sizes must be nonempty")
-    if any(n < 2 for n in sizes):
-        raise ValueError("every size must be >= 2")
     if runs_per_size < 1:
         raise ValueError(f"runs_per_size must be >= 1, got {runs_per_size}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    for node_count in sizes:
+        GeneratorConfig(node_count)
+        BloomParams.for_capacity(node_count, epsilon)
 
     records: list[BenchRecord] = []
     trials: list[TrialResult] = []

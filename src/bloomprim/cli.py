@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .analysis import false_positive_stats
 from .bench import DESK_SIZES, FULL_SIZES, run_bench
@@ -20,6 +19,7 @@ from .graph import (
     GeneratorConfig,
     GraphFormatError,
     _edge_lines,
+    _write,
     generate_graph,
     load_graph,
     save_graph,
@@ -41,30 +41,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Memory-efficient minimum spanning trees with a Bloom-filter-backed Prim solver.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # flags shared by the commands that size a filter, and by those that solve
+    rate = argparse.ArgumentParser(add_help=False)
+    rate.add_argument(
+        "--epsilon", type=float, default=0.01, help="filter false-positive rate (default 0.01)"
+    )
+    solver = argparse.ArgumentParser(add_help=False, parents=[rate])
+    solver.add_argument("--solver", choices=("baseline", "bloom"), default="baseline")
+    solver.add_argument("--hash-seed", type=int, default=0, help="filter hash seed (default 0)")
 
     p_gen = sub.add_parser("gen", help="generate a seeded random graph file")
+    p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument("--nodes", type=int, required=True, help="node count (>= 2)")
     p_gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     p_gen.add_argument("--min-extra", type=int, default=1, help="min extra edges per node (default 1)")
     p_gen.add_argument("--max-extra", type=int, default=25, help="max extra edges per node (default 25)")
     p_gen.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
 
-    p_mst = sub.add_parser("mst", help="solve a graph file with either solver")
+    p_mst = sub.add_parser("mst", parents=[solver], help="solve a graph file with either solver")
+    p_mst.set_defaults(run=_cmd_mst)
     p_mst.add_argument("graph", help="graph file path, '-' for stdin")
-    p_mst.add_argument("--solver", choices=("baseline", "bloom"), default="baseline")
-    p_mst.add_argument("--epsilon", type=float, default=0.01, help="filter false-positive rate (default 0.01)")
-    p_mst.add_argument("--hash-seed", type=int, default=0, help="filter hash seed (default 0)")
     p_mst.add_argument("--start", type=int, default=0, help="start node (default 0)")
     p_mst.add_argument("--edges-out", help="optional path for the recovered edge list")
 
     p_bench = sub.add_parser(
         "bench",
+        parents=[rate],
         help="run the comparison sweep and emit CSV",
         description="Run the comparison sweep and emit CSV.  baseline_bytes and "
         "reduction_percent compare against the paper's model of an exact visited "
         "hash set, which no solver here allocates; they are modeled bytes, not "
         "measured ones.",
     )
+    p_bench.set_defaults(run=_cmd_bench)
     p_bench.add_argument(
         "--sizes",
         default=",".join(str(s) for s in DESK_SIZES),
@@ -76,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"use sizes {FULL_SIZES[0]}..{FULL_SIZES[-1]} step 10000 (overrides --sizes)",
     )
     p_bench.add_argument("--runs", type=int, default=5, help="runs per size (default 5)")
-    p_bench.add_argument("--epsilon", type=float, default=0.01)
     p_bench.add_argument(
         "--seed",
         type=int,
@@ -85,16 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--out", default="-", help="CSV path, '-' for stdout (default)")
 
-    p_stats = sub.add_parser("stats", help="filter sizing and false-positive moments")
+    p_stats = sub.add_parser("stats", parents=[rate], help="filter sizing and false-positive moments")
+    p_stats.set_defaults(run=_cmd_stats)
     p_stats.add_argument("--nodes", type=int, required=True, help="insertion count")
-    p_stats.add_argument("--epsilon", type=float, default=0.01)
 
-    p_seg = sub.add_parser("segment", help="MST-threshold segmentation of a pixmap")
+    p_seg = sub.add_parser("segment", parents=[solver], help="MST-threshold segmentation of a pixmap")
+    p_seg.set_defaults(run=_cmd_segment)
     p_seg.add_argument("image", help="input pixmap (P6 or P3, maxval 255)")
     p_seg.add_argument("--threshold", type=float, default=100.0, help="edge-trim threshold (default 100)")
-    p_seg.add_argument("--solver", choices=("baseline", "bloom"), default="baseline")
-    p_seg.add_argument("--epsilon", type=float, default=0.01)
-    p_seg.add_argument("--hash-seed", type=int, default=0)
     p_seg.add_argument("--out", help="label image path (default: <input>.labels.ppm)")
     return parser
 
@@ -107,10 +113,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
     )
     graph = generate_graph(config)
-    if args.out == "-":
-        save_graph(graph, sys.stdout)
-    else:
-        save_graph(graph, args.out)
+    save_graph(graph, sys.stdout if args.out == "-" else args.out)
     print(
         f"generated nodes={graph.node_count} edges={graph.edge_count} seed={args.seed}",
         file=sys.stderr,
@@ -119,11 +122,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_mst(args) -> int:
-    if args.graph == "-":
-        # stdin's bytes, so they decode as a file's do whatever its encoding
-        graph = load_graph(getattr(sys.stdin, "buffer", sys.stdin))
-    else:
-        graph = load_graph(args.graph)
+    # stdin's bytes, so they decode as a file's do whatever its encoding
+    stdin = getattr(sys.stdin, "buffer", sys.stdin)
+    graph = load_graph(stdin if args.graph == "-" else args.graph)
     if args.solver == "baseline":
         result = prim_baseline(graph, args.start)
     else:
@@ -134,8 +135,7 @@ def _cmd_mst(args) -> int:
     print(f"selected_edges={result.selected_edge_count}")
     print(f"spanned_nodes={result.spanned_node_count}")
     if args.edges_out:
-        lines = _edge_lines(*_selected_columns(result, graph))
-        Path(args.edges_out).write_text(lines, encoding="utf-8")
+        _write(args.edges_out, _edge_lines(*_selected_columns(result, graph)))
     return 0
 
 
@@ -154,11 +154,7 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         progress=lambda line: print(line, file=sys.stderr),
     )
-    csv_text = report.to_csv()
-    if args.out == "-":
-        sys.stdout.write(csv_text)
-    else:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+    _write(sys.stdout if args.out == "-" else args.out, report.to_csv())
     return 0
 
 
@@ -188,19 +184,10 @@ def _cmd_segment(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "mst": _cmd_mst,
-    "bench": _cmd_bench,
-    "stats": _cmd_stats,
-    "segment": _cmd_segment,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (GraphFormatError, PpmFormatError) as exc:
         print(f"bloomprim {args.command}: parse error: {exc}", file=sys.stderr)
         return 2

@@ -57,9 +57,12 @@ more, to just after a ``"\n"`` (which always ends a line) or to the end
 of the text.  At least ``edge_count + 1`` ``"\n"`` prove that no edge
 line is missing; only a text with fewer has its lines counted, piece by
 piece, before the edge arrays are allocated.
-:func:`save_graph` only writes the encoded text to a path or stream, and
-:func:`load_graph` only reads a path or stream and decodes any bytes as
-UTF-8 with ``surrogateescape``.
+One reader and one writer serve both file formats: ``_read`` returns a
+path's bytes or a stream's ``read()``, and ``_write`` writes to a stream
+as it is and to a path as bytes, text encoded as UTF-8 with no newline
+translation.  :func:`save_graph` only writes the encoded text through
+``_write``, and :func:`load_graph` only reads through ``_read`` and
+decodes any bytes as UTF-8 with ``surrogateescape``.
 
 Random graph generation
 -----------------------
@@ -80,8 +83,10 @@ PCG64 bit generator (PCG XSL RR 128/64) seeded through
 5. One word per surviving edge: weight ``(word >> 11) * 2.0**-53``, the
    standard 53-bit uniform draw in [0, 1).
 
-The same seed therefore yields a byte-identical saved graph on any
-platform (and in any language with a PCG64 implementation).
+The same seed therefore yields a byte-identical graph file, saved to a
+path, on any platform (and in any language with a PCG64 implementation).
+A stream is given the text as it is, so its own newline translation, if
+any, applies.
 """
 
 from __future__ import annotations
@@ -187,12 +192,22 @@ def _repeated(u: np.ndarray, v: np.ndarray, node_count: int) -> np.ndarray:
     return repeat
 
 
+def _node_ids(column) -> np.ndarray:
+    """``column`` as a contiguous int64 array; a nonempty column whose dtype
+    is not an integer one is rejected, not cast."""
+    ids = np.asarray(column)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"node ids must have an integer dtype, got {ids.dtype}")
+    return np.ascontiguousarray(ids, dtype=np.int64)
+
+
 class Graph:
     """Immutable undirected weighted graph.
 
     Parameters are validated on construction: edges must satisfy
-    ``0 <= u < v < node_count``, weights must be finite and nonnegative,
-    and no pair may repeat.  Every array the graph holds is read-only.
+    ``0 <= u < v < node_count`` with ids of an integer dtype (empty columns
+    excepted), weights must be finite and nonnegative, and no pair may
+    repeat.  Every array the graph holds is read-only.
     Edge columns that are already contiguous arrays of the right dtype
     are not copied: the graph holds read-only views of them, so a caller
     must not write to arrays it passed in.
@@ -212,8 +227,7 @@ class Graph:
     def __init__(self, node_count: int, edge_u, edge_v, edge_weight):
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
-        u = np.ascontiguousarray(edge_u, dtype=np.int64)
-        v = np.ascontiguousarray(edge_v, dtype=np.int64)
+        u, v = _node_ids(edge_u), _node_ids(edge_v)
         w = np.ascontiguousarray(edge_weight, dtype=np.float64)
         if not (u.ndim == v.ndim == w.ndim == 1 and len(u) == len(v) == len(w)):
             raise ValueError("edge arrays must be 1-d and of equal length")
@@ -379,13 +393,23 @@ def dumps_graph(graph: Graph) -> str:
     return "".join([f"{graph.node_count} {graph.edge_count}\n", *blocks])
 
 
-def save_graph(graph: Graph, dest: str | Path | TextIO) -> None:
-    """Write :func:`dumps_graph`'s text to a path (as UTF-8) or a text stream."""
-    text = dumps_graph(graph)
+def _read(source: str | Path | TextIO | BinaryIO) -> str | bytes:
+    """A path's bytes, or a stream's ``read()``."""
+    return Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+
+
+def _write(dest: str | Path | TextIO | BinaryIO, data: str | bytes) -> None:
+    """Write ``data`` to a stream as it is, or to a path as bytes, text
+    encoded as UTF-8 (no newline translation)."""
     if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
+        Path(dest).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
     else:
-        dest.write(text)
+        dest.write(data)
+
+
+def save_graph(graph: Graph, dest: str | Path | TextIO) -> None:
+    """Write :func:`dumps_graph`'s text to a path or a text stream with :func:`_write`."""
+    _write(dest, dumps_graph(graph))
 
 
 def _pieces(text: str):
@@ -437,7 +461,7 @@ def load_graph(source: str | Path | TextIO | BinaryIO) -> Graph:
     ``surrogateescape``, as Python decodes stdin under the C and C.UTF-8
     locales, so a byte that is not UTF-8 fails the parse of its own line.
     """
-    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+    data = _read(source)
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="surrogateescape")
     return loads_graph(data)

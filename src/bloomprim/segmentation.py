@@ -37,7 +37,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .graph import Graph, _component_labels
+from .graph import Graph, _component_labels, _read, _write
 from .mst import _selected_columns, prim_baseline, prim_bloom
 
 
@@ -136,14 +136,6 @@ def segment(
     return SegmentationResult(labels.reshape(image.height, image.width), count)
 
 
-def _read_source(source: str | Path | bytes | BinaryIO) -> bytes:
-    if isinstance(source, bytes):
-        return source
-    if isinstance(source, (str, Path)):
-        return Path(source).read_bytes()
-    return source.read()
-
-
 _WHITESPACE_RE = re.compile(rb"\s")  # space, \t, \n, \r, \x0b, \x0c
 # whitespace and comments, then one token; a comment runs to a newline or the
 # data's end and no token starts with '#', so no backtrack reads one as a token
@@ -209,7 +201,7 @@ def _plain_samples(data: bytes, start: int, expected: int) -> np.ndarray:
 
 def load_ppm(source: str | Path | bytes | BinaryIO) -> PixelImage:
     """Read a P6 or P3 portable pixmap with maxval 255."""
-    data = _read_source(source)
+    data = source if isinstance(source, bytes) else _read(source)
     (magic,), _ = _header_tokens(data, 1)
     if magic not in (b"P6", b"P3"):
         raise PpmFormatError(f"bad magic {magic!r}, expected P6 or P3")
@@ -239,11 +231,8 @@ def load_ppm(source: str | Path | bytes | BinaryIO) -> PixelImage:
 
 
 def save_ppm(image: PixelImage, dest: str | Path | BinaryIO) -> None:
-    """Write ``image`` as a binary (P6) pixmap."""
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_bytes(ppm_bytes(image))
-    else:
-        dest.write(ppm_bytes(image))
+    """Write ``image`` as a binary (P6) pixmap to a path or a binary stream."""
+    _write(dest, ppm_bytes(image))
 
 
 def ppm_bytes(image: PixelImage) -> bytes:
@@ -265,5 +254,5 @@ def save_labels(result: SegmentationResult, dest: str | Path) -> tuple[Path, Pat
     image_path = Path(dest)
     save_ppm(colored, image_path)
     sidecar = image_path.with_suffix(".count.txt")
-    sidecar.write_text(f"label_count={result.cluster_count}\n", encoding="ascii")
+    _write(sidecar, f"label_count={result.cluster_count}\n")
     return image_path, sidecar

@@ -82,6 +82,12 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench(sizes=(50,), epsilon=1.5)
 
+    def test_bad_size_fails_with_its_configs_message_before_any_trial(self):
+        lines = []
+        with pytest.raises(ValueError, match=r"^node_count must be >= 2, got 1$"):
+            run_bench(sizes=(50, 1), progress=lines.append)
+        assert lines == []
+
     def test_progress_callback(self):
         lines = []
         run_bench(sizes=(40,), runs_per_size=2, seed=0, progress=lines.append)

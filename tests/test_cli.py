@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,20 @@ from bloomprim import (
     recover_edges,
     save_ppm,
 )
+from bloomprim.bench import run_bench
 from bloomprim.cli import main
 from oracles import induced_kruskal
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def option_help(capsys, command) -> dict[str, str]:
+    """Each option's entry in ``bloomprim <command> --help``, by its first
+    option string, with whitespace collapsed so that layout does not count."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    entries = re.split(r"\n  (?=-)", capsys.readouterr().out.split("options:")[1])
+    return {e.split()[0].rstrip(","): " ".join(e.split()) for e in entries if e.strip()}
 
 
 def run_cli(capsys, *argv):
@@ -99,7 +110,7 @@ class TestMst:
             )
             assert code == 0
             expected = "".join(f"{u} {v} {w!r}\n" for u, v, w in recover_edges(solve(g), g))
-            assert edges_path.read_text(encoding="utf-8") == expected
+            assert edges_path.read_bytes() == expected.encode("utf-8")
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "mst", str(tmp_path / "absent.txt"))
@@ -205,7 +216,8 @@ class TestBench:
         )
         assert code == 0
         assert out == ""
-        assert out_path.read_text().startswith("node_count,")
+        csv_text = run_bench(sizes=(40,), runs_per_size=1).to_csv()
+        assert out_path.read_bytes() == csv_text.encode("utf-8")
 
     def test_degenerate_two_node_size(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--sizes", "2", "--runs", "1")
@@ -300,6 +312,19 @@ class TestSegment:
         code, _, err = run_cli(capsys, "segment", str(bad), "--out", str(tmp_path / "o.ppm"))
         assert code == 2
         assert "sample out of range" in err
+
+
+class TestSharedFlags:
+    def test_mst_and_segment_give_the_same_solver_flags(self, capsys):
+        mst, seg = option_help(capsys, "mst"), option_help(capsys, "segment")
+        for flag in ("--solver", "--epsilon", "--hash-seed"):
+            assert mst[flag] == seg[flag]
+        assert mst["--epsilon"] == "--epsilon EPSILON filter false-positive rate (default 0.01)"
+        assert mst["--hash-seed"] == "--hash-seed HASH_SEED filter hash seed (default 0)"
+
+    def test_every_filter_rate_flag_is_the_same(self, capsys):
+        helps = {option_help(capsys, c)["--epsilon"] for c in ("mst", "segment", "bench", "stats")}
+        assert len(helps) == 1
 
 
 class TestUsageErrors:

@@ -142,14 +142,34 @@ class TestGraphConstruction:
 
     def test_size_limit_checked_before_allocating(self):
         # keys and endpoint slots would overflow int64; the check comes
-        # before anything is sorted or sized by node_count
+        # before anything is sorted or sized by node_count, so the rejected
+        # build allocates less than one byte per edge (any edge rule checked
+        # first would take a byte or more per edge for its masks)
+        edge_count = 2**16
+        u = np.arange(edge_count, dtype=np.int64)
+        v, w = u + 1, np.ones(edge_count)
+        error = None
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"^edge_count \* node_count must be below 2\*\*61"):
-                Graph(2**62, [0], [1], [1.0])
-            assert tracemalloc.get_traced_memory()[1] < 4096
+            Graph(2**46, u, v, w)
+        except ValueError as exc:
+            error = exc
         finally:
+            peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
+        assert str(error).startswith("edge_count * node_count must be below 2**61")
+        assert peak < edge_count
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[1.0], [0.5], ["1"], np.array([1], dtype=object), [True]],
+        ids=["integral-float", "float", "str", "object", "bool"],
+    )
+    def test_rejects_non_integer_ids(self, bad):
+        # not cast: each would otherwise read as node 1 (or 0) and build an edge
+        for u, v in ((bad, [2]), ([0], bad)):
+            with pytest.raises(ValueError, match=r"^node ids must have an integer dtype, got "):
+                Graph(3, u, v, [1.0])
 
 
 def _set_repeats(pairs) -> list[bool]:
@@ -488,6 +508,14 @@ class TestFileFormat:
         stream = io.StringIO()
         save_graph(g, stream)
         assert stream.getvalue() == text
+
+    def test_write_puts_exactly_the_texts_utf8_bytes_at_a_path(self, tmp_path):
+        text = "\u00e9 \n \r\n"  # no newline is translated
+        path = tmp_path / "out.txt"
+        graph_module._write(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+        graph_module._write(path, b"\x00\n")
+        assert path.read_bytes() == b"\x00\n"
 
     def test_file_io(self, tmp_path):
         g = generate_graph(GeneratorConfig(node_count=50, seed=5))

@@ -293,7 +293,7 @@ class TestSaveLabels:
         image_path, sidecar = save_labels(result, out)
         assert image_path == out
         assert sidecar == tmp_path / "labels.count.txt"
-        assert sidecar.read_text() == f"label_count={result.cluster_count}\n"
+        assert sidecar.read_bytes() == f"label_count={result.cluster_count}\n".encode("utf-8")
         rendered = load_ppm(out)
         assert rendered.width == img.width and rendered.height == img.height
 
