@@ -27,13 +27,17 @@ The lists come from a separate in-place sort of ``node << slot_bits |
 slot`` over the ``2 * edge_count`` endpoint slots, slot ``e`` holding
 edge ``e``'s ``u`` and slot ``edge_count + e`` its ``v``, with
 ``slot_bits = max(1, (2 * edge_count - 1).bit_length())``: a node's
-entries are its slots in ascending order.  Sorting the slot values in
-place, not ordering positions, keeps the build's peak at the bytes of
-the graph's own arrays.  Keys stay below ``2 * edge_count * node_count``
-and those values below ``4 * edge_count * node_count``, so ``Graph``
-requires ``edge_count * node_count < 2**61`` and checks it
-before it sorts anything or allocates by ``node_count``; a connected
-graph would need over 1.5 * 10**9 edges, whose arrays alone take ~70 GB.
+entries are its slots in ascending order.  The offsets ``_indptr`` are
+read off the same sort: node ``k``'s entries are the sorted values in
+``[k << slot_bits, (k + 1) << slot_bits)``, found by binary search.
+Sorting the slot values in place, not ordering positions, keeps the
+build's peak at the bytes of the graph's own arrays.  Keys stay below
+``2 * edge_count * node_count``, and those values and the offsets'
+bounds (up to ``node_count << slot_bits``) below ``4 * max(edge_count,
+1) * node_count``, so ``Graph`` requires ``max(edge_count, 1) *
+node_count < 2**61``, edgeless graphs included, and checks it before it
+sorts anything or allocates by ``node_count``; a connected graph would
+need over 1.5 * 10**9 edges, whose arrays alone take ~70 GB.
 
 Components are labelled from two endpoint arrays alone, by whole-array
 hook-and-shortcut rounds (Shiloach & Vishkin, J. Algorithms 1982), in
@@ -76,7 +80,8 @@ PCG64 bit generator (PCG XSL RR 128/64) seeded through
 2. ``node_count`` words: extra-edge count for each node,
    ``c = min_extra + (word mod (max_extra - min_extra + 1))``.
 3. ``sum(c)`` words: extra-edge targets, ``word mod node_count``, drawn
-   node by node in ascending node order.
+   node by node in ascending node order.  ``GeneratorConfig`` requires
+   ``node_count * max_extra < 2**63``, so ``sum(c)`` fits in int64.
 4. Candidate edges (backbone first, then extras in draw order) are
    canonicalised to ``(min, max)``; self-loops and repeated pairs are
    dropped, first occurrence wins.  Surviving order assigns edge ids.
@@ -192,22 +197,24 @@ def _repeated(u: np.ndarray, v: np.ndarray, node_count: int) -> np.ndarray:
     return repeat
 
 
-def _node_ids(column) -> np.ndarray:
-    """``column`` as a contiguous int64 array; a nonempty column whose dtype
-    is not an integer one is rejected, not cast."""
-    ids = np.asarray(column)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ValueError(f"node ids must have an integer dtype, got {ids.dtype}")
-    return np.ascontiguousarray(ids, dtype=np.int64)
+def _edge_column(column, kinds: str, dtype, rule: str) -> np.ndarray:
+    """``column`` as a contiguous array of ``dtype``; a nonempty column whose
+    dtype kind is not one of ``kinds`` is rejected with ``rule``, not cast."""
+    array = np.asarray(column)
+    if array.size and array.dtype.kind not in kinds:
+        raise ValueError(f"{rule}, got {array.dtype}")
+    return np.ascontiguousarray(array, dtype=dtype)
 
 
 class Graph:
     """Immutable undirected weighted graph.
 
     Parameters are validated on construction: edges must satisfy
-    ``0 <= u < v < node_count`` with ids of an integer dtype (empty columns
-    excepted), weights must be finite and nonnegative, and no pair may
-    repeat.  Every array the graph holds is read-only.
+    ``0 <= u < v < node_count`` with ids of an integer dtype, weights must
+    have an integer or floating dtype and be finite and nonnegative (empty
+    columns are exempt from the dtype rules), and no pair may repeat; a
+    column of another dtype is rejected, not cast.  Every array the graph
+    holds is read-only.
     Edge columns that are already contiguous arrays of the right dtype
     are not copied: the graph holds read-only views of them, so a caller
     must not write to arrays it passed in.
@@ -227,21 +234,23 @@ class Graph:
     def __init__(self, node_count: int, edge_u, edge_v, edge_weight):
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
-        u, v = _node_ids(edge_u), _node_ids(edge_v)
-        w = np.ascontiguousarray(edge_weight, dtype=np.float64)
+        self.node_count = int(node_count)
+        ids = ("iu", np.int64, "node ids must have an integer dtype")
+        u, v = _edge_column(edge_u, *ids), _edge_column(edge_v, *ids)
+        w = _edge_column(edge_weight, "iuf", np.float64, "weights must have an integer or floating dtype")
         if not (u.ndim == v.ndim == w.ndim == 1 and len(u) == len(v) == len(w)):
             raise ValueError("edge arrays must be 1-d and of equal length")
         edge_count = len(u)
         # checked before anything is sorted or sized by node_count (see the
         # module docstring)
-        if edge_count * int(node_count) >= 2**61:
+        if max(edge_count, 1) * self.node_count >= 2**61:
             raise ValueError(
                 f"edge_count * node_count must be below 2**61, got {edge_count} * {node_count}"
+                " (an edgeless graph counts as one edge)"
             )
-        bad = _first_bad_edge(node_count, u, v, w)
+        bad = _first_bad_edge(self.node_count, u, v, w)
         if bad is not None:
             raise _EdgeError(*bad)
-        self.node_count = int(node_count)
         # views, so that making them read-only leaves the caller's arrays as they are
         self.edge_u, self.edge_v, self.edge_weight = u.view(), v.view(), w.view()
 
@@ -258,12 +267,9 @@ class Graph:
         np.left_shift(v, slot_bits, out=slots[edge_count:])
         slots |= np.arange(2 * edge_count)
         slots.sort()
+        # node k's entries are the sorted values in [k << slot_bits, (k + 1) << slot_bits)
+        indptr = np.searchsorted(slots, np.arange(self.node_count + 1, dtype=np.int64) << slot_bits)
         slots &= (1 << slot_bits) - 1
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(u, minlength=node_count) + np.bincount(v, minlength=node_count),
-            out=indptr[1:],
-        )
         rank = np.empty_like(order)
         rank[order] = np.arange(edge_count) << bits
         keys = np.empty(2 * edge_count, dtype=np.int64)  # each slot's key
@@ -317,6 +323,10 @@ class GeneratorConfig:
                 f"need 1 <= min_extra_edges <= max_extra_edges, got "
                 f"{self.min_extra_edges}..{self.max_extra_edges}"
             )
+        # bounds the extra-edge draw count, which must fit in int64
+        product = self.node_count * self.max_extra_edges
+        if product >= 2**63:
+            raise ValueError(f"node_count * max_extra_edges must be below 2**63, got {product}")
 
 
 def _edge_pairs(config: GeneratorConfig, raw) -> tuple[np.ndarray, np.ndarray]:

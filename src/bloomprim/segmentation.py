@@ -123,13 +123,13 @@ def segment(
     """Segment ``image`` by trimming MST edges heavier than ``threshold``."""
     if not threshold >= 0:  # NaN fails too
         raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if solver not in ("baseline", "bloom"):  # before the graph is built
+        raise ValueError(f"solver must be 'baseline' or 'bloom', got {solver!r}")
     graph = image_to_graph(image)
     if solver == "baseline":
         result = prim_baseline(graph, 0)
-    elif solver == "bloom":
-        result = prim_bloom(graph, 0, epsilon=epsilon, hash_seed=hash_seed)
     else:
-        raise ValueError(f"solver must be 'baseline' or 'bloom', got {solver!r}")
+        result = prim_bloom(graph, 0, epsilon=epsilon, hash_seed=hash_seed)
     u, v, w = _selected_columns(result, graph)
     keep = w <= threshold
     labels, count = _component_labels(graph.node_count, u[keep], v[keep])

@@ -69,6 +69,30 @@ class TestGen:
         assert code == 1
         assert "node_count" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--nodes", "4", "--min-extra", str(2**62), "--max-extra", str(2**62)],
+            ["--nodes", "5", "--max-extra", str(10**20)],
+        ],
+        ids=["draw-count-wraps-uint64", "extra-beyond-uint64"],
+    )
+    def test_extra_edge_draw_count_beyond_int64_is_usage_error(self, argv):
+        # in a subprocess: the first once crashed the interpreter (a wrapped
+        # draw count sized np.repeat's output), which would end pytest too
+        proc = subprocess.run(
+            [sys.executable, "-m", "bloomprim", "gen", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == [
+            f"bloomprim gen: node_count * max_extra_edges must be below 2**63, got "
+            f"{int(argv[1]) * int(argv[-1])}"
+        ]
+
 
 class TestMst:
     def test_baseline_output(self, graph_file, capsys):

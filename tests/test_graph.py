@@ -42,6 +42,11 @@ def component_count(g: Graph) -> int:
     return _component_labels(g.node_count, g.edge_u, g.edge_v)[1]
 
 
+def _rebuilt_with_count_as(scalar, graph: Graph) -> Graph:
+    """``graph`` built again with its node count passed as a ``scalar``."""
+    return Graph(scalar(graph.node_count), graph.edge_u, graph.edge_v, graph.edge_weight)
+
+
 class TestGraphConstruction:
     def test_rejects_self_loops_and_reversed_edges(self):
         with pytest.raises(ValueError):
@@ -131,6 +136,17 @@ class TestGraphConstruction:
                 )
                 for seed in range(20)
             ),
+            # node_count << slot_bits passes 2**32 here, so offsets computed
+            # in the count's own 32-bit type would wrap
+            *(
+                pytest.param(
+                    lambda scalar=scalar: _rebuilt_with_count_as(
+                        scalar, generate_graph(GeneratorConfig(node_count=21000))
+                    ),
+                    id=f"generated-21k-{scalar.__name__}-node-count",
+                )
+                for scalar in (np.int32, np.uint32)
+            ),
         ],
     )
     def test_csr_matches_reference_build(self, make):
@@ -170,6 +186,45 @@ class TestGraphConstruction:
         for u, v in ((bad, [2]), ([0], bad)):
             with pytest.raises(ValueError, match=r"^node ids must have an integer dtype, got "):
                 Graph(3, u, v, [1.0])
+
+    @pytest.mark.parametrize("node_count", [2**61, 2**63])
+    def test_size_limit_covers_edgeless_graphs(self, node_count):
+        # no edge, so nothing but the limit stops an offset array of node_count + 1
+        limit = (
+            rf"^edge_count \* node_count must be below 2\*\*61, got 0 \* {node_count}"
+            r" \(an edgeless graph counts as one edge\)$"
+        )
+        with pytest.raises(ValueError, match=limit):
+            Graph(node_count, [], [], [])
+
+    @pytest.mark.parametrize("scalar", [np.int32, np.uint64])
+    def test_numpy_integer_node_count_finds_repeats(self, scalar):
+        # the repeat search sizes its digits with int.bit_length, which
+        # numpy scalars lack
+        with pytest.raises(ValueError, match=r"^edge 2: duplicate edge \(0, 1\)$"):
+            Graph(scalar(4), [0, 1, 0], [1, 2, 1], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [(["0.5"], "<U3"), ([True], "bool"), (np.array([0.5], dtype=object), "object"),
+         ([0.5 + 0j], "complex128")],
+        ids=["str", "bool", "object", "complex"],
+    )
+    def test_rejects_non_numeric_weights(self, bad, dtype):
+        # not cast: the string would parse as 0.5 and the bool read as 1.0
+        with pytest.raises(
+            ValueError, match=rf"^weights must have an integer or floating dtype, got {dtype}$"
+        ):
+            Graph(2, [0], [1], bad)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float16, np.float32])
+    def test_integer_and_narrow_float_weights_build_as_float64(self, dtype):
+        weights = np.array([3, 0, 2, 1, 2], dtype=dtype)
+        got = Graph(4, [0, 0, 1, 1, 2], [1, 2, 2, 3, 3], weights)
+        want = Graph(4, [0, 0, 1, 1, 2], [1, 2, 2, 3, 3], weights.astype(np.float64))
+        for name in ("edge_weight", "_order", "_indptr", "_adj_key"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _set_repeats(pairs) -> list[bool]:
@@ -342,6 +397,14 @@ class TestGenerator:
             GeneratorConfig(node_count=10, min_extra_edges=0)
         with pytest.raises(ValueError):
             GeneratorConfig(node_count=10, min_extra_edges=5, max_extra_edges=2)
+
+    def test_config_bounds_the_extra_edge_draw_count(self):
+        # node_count * max_extra_edges bounds the draw count, which must fit in int64
+        GeneratorConfig(node_count=2, max_extra_edges=2**62 - 1)
+        bound = r"^node_count \* max_extra_edges must be below 2\*\*63, got "
+        for n, extra in ((2, 2**62), (4, 2**62), (5, 10**20)):
+            with pytest.raises(ValueError, match=bound):
+                GeneratorConfig(node_count=n, max_extra_edges=extra)
 
     def test_peak_memory_bounded_by_graph_size(self):
         # the candidate pairs die before the graph is built, so the peak is

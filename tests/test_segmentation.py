@@ -143,6 +143,14 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment(img, solver="kruskal")
 
+    def test_solver_name_checked_before_the_graph_is_built(self, monkeypatch):
+        def unexpected_build(image):
+            raise AssertionError("image_to_graph called")
+
+        monkeypatch.setattr(segmentation_module, "image_to_graph", unexpected_build)
+        with pytest.raises(ValueError, match=r"^solver must be 'baseline' or 'bloom', got 'x'$"):
+            segment(solid(0, 0, 0), solver="x")
+
     def test_builds_one_graph(self, monkeypatch):
         built = []
         init = Graph.__init__
