@@ -1,18 +1,25 @@
 """Undirected weighted graphs with stable global edge ids.
 
-Edges are stored canonically as ``u < v`` in arrays indexed by edge id;
-adjacency is kept in CSR form so solvers can walk neighbours cheaply.
-Every edge appears exactly twice across the adjacency lists, once per
-endpoint: a node's list holds the edges where it is ``u``, then those
-where it is ``v``, each in edge-id order.  An entry is one int64 key,
-``rank << bits | neighbour``, where ``rank`` is the edge's position in
-``_order``, the edge ids sorted by weight (equal weights fall back to
-the edge id), and ``bits = max(1, (node_count - 1).bit_length())``.
-So keys order entries by ``(weight, edge_id)``, which is the order
-:mod:`bloomprim.mst` pops them in; the edge id is ``_order[key >>
-bits]`` and the neighbour ``key & (2**bits - 1)``.  The keys and
-``_order`` are derived from the edge arrays once per graph; equality
-and the file format ignore them, and only :mod:`bloomprim.mst` reads them.
+Edges are given canonically as ``u < v`` in columns indexed by edge id.
+A graph stores its topology once, as CSR adjacency that solvers walk
+cheaply, beside the weight column: four arrays, ``edge_weight``,
+``_order``, ``_indptr`` and ``_adj_key``.  Every edge appears exactly
+twice across the adjacency lists, once per endpoint: a node's list
+holds the edges where it is ``u``, then those where it is ``v``, each in
+edge-id order.  An entry is one int64 key, ``rank << bits | neighbour``,
+where ``rank`` is the edge's position in ``_order``, the edge ids sorted
+by weight (equal weights fall back to the edge id), and ``bits = max(1,
+(node_count - 1).bit_length())``.  So keys order entries by ``(weight,
+edge_id)``, which is the order :mod:`bloomprim.mst` pops them in; the
+edge id is ``_order[key >> bits]`` and the neighbour ``key & (2**bits -
+1)``.  ``_order`` is int32 while ``edge_count < 2**31``, int64 beyond.
+The endpoint columns are not kept: ``_endpoints`` reads them back off
+the lists, where an entry whose owner is below its neighbour is its
+edge's ``(u, v)``, a block of entries at a time; it derives every edge
+(``Graph.edge_u``, ``Graph.edge_v``, :func:`dumps_graph`) or only the
+edges asked for (the selected edges of a tree).  The build is a
+function of the columns and the derivation inverts it, so two graphs
+are equal when their node counts and four arrays are.
 
 Every order here comes from sorts of unique int64 values, so no sort
 need be stable and any sort algorithm gives the same arrays.  One
@@ -96,6 +103,7 @@ any, applies.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -106,6 +114,7 @@ from numpy.random import PCG64, SeedSequence
 
 _BLOCK = 1 << 12  # edge lines per block of the text codec
 _PIECE = 1 << 17  # least characters of text split into lines at once by the parser
+_WALK = 1 << 12  # adjacency entries per block of the endpoint derivation
 
 
 class GraphFormatError(ValueError):
@@ -209,32 +218,30 @@ def _edge_column(column, kinds: str, dtype, rule: str) -> np.ndarray:
 class Graph:
     """Immutable undirected weighted graph.
 
-    Parameters are validated on construction: edges must satisfy
+    Parameters are validated on construction: ``node_count`` must be an
+    integer (``operator.index``) of at least 1, edges must satisfy
     ``0 <= u < v < node_count`` with ids of an integer dtype, weights must
     have an integer or floating dtype and be finite and nonnegative (empty
     columns are exempt from the dtype rules), and no pair may repeat; a
     column of another dtype is rejected, not cast.  Every array the graph
     holds is read-only.
-    Edge columns that are already contiguous arrays of the right dtype
-    are not copied: the graph holds read-only views of them, so a caller
-    must not write to arrays it passed in.
+    The graph keeps four arrays: ``edge_weight``, ``_order``, ``_indptr``
+    and ``_adj_key``, ``28 * edge_count + 8 * (node_count + 1)`` bytes.
+    ``edge_u`` and ``edge_v`` are not kept: each read derives the column
+    afresh from the adjacency (:func:`_endpoints`), as a new read-only
+    int64 array.  The id columns are only read, so callers may reuse
+    theirs.  A weight column that is already a contiguous float64 array
+    is not copied: the graph holds a read-only view of it, so a caller
+    must not write to it afterwards.
     """
 
-    __slots__ = (
-        "node_count",
-        "edge_u",
-        "edge_v",
-        "edge_weight",
-        "_indptr",
-        "_adj_key",
-        "_order",
-        "_key_bits",
-    )
+    __slots__ = ("node_count", "edge_weight", "_indptr", "_adj_key", "_order", "_key_bits")
 
     def __init__(self, node_count: int, edge_u, edge_v, edge_weight):
+        node_count = operator.index(node_count)
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
-        self.node_count = int(node_count)
+        self.node_count = node_count
         ids = ("iu", np.int64, "node ids must have an integer dtype")
         u, v = _edge_column(edge_u, *ids), _edge_column(edge_v, *ids)
         w = _edge_column(edge_weight, "iuf", np.float64, "weights must have an integer or floating dtype")
@@ -243,21 +250,21 @@ class Graph:
         edge_count = len(u)
         # checked before anything is sorted or sized by node_count (see the
         # module docstring)
-        if max(edge_count, 1) * self.node_count >= 2**61:
+        if max(edge_count, 1) * node_count >= 2**61:
             raise ValueError(
                 f"edge_count * node_count must be below 2**61, got {edge_count} * {node_count}"
                 " (an edgeless graph counts as one edge)"
             )
-        bad = _first_bad_edge(self.node_count, u, v, w)
+        bad = _first_bad_edge(node_count, u, v, w)
         if bad is not None:
             raise _EdgeError(*bad)
-        # views, so that making them read-only leaves the caller's arrays as they are
-        self.edge_u, self.edge_v, self.edge_weight = u.view(), v.view(), w.view()
+        # a view, so that making it read-only leaves the caller's array as it is
+        self.edge_weight = w.view()
 
         # CSR adjacency over both edge directions: sort the endpoint slots
         # by node, each in the low bits of its sort value (module docstring),
         # then replace each slot by its key
-        bits = max(1, (self.node_count - 1).bit_length())
+        bits = max(1, (node_count - 1).bit_length())
         # a valid weight orders as the low 63 bits of its bit pattern; the
         # sign bit, set only on -0.0, is ignored, so -0.0 ties with 0.0
         order = _lsd_order(edge_count, (w.view(np.int64),), 63)
@@ -268,10 +275,12 @@ class Graph:
         slots |= np.arange(2 * edge_count)
         slots.sort()
         # node k's entries are the sorted values in [k << slot_bits, (k + 1) << slot_bits)
-        indptr = np.searchsorted(slots, np.arange(self.node_count + 1, dtype=np.int64) << slot_bits)
+        indptr = np.searchsorted(slots, np.arange(node_count + 1, dtype=np.int64) << slot_bits)
         slots &= (1 << slot_bits) - 1
         rank = np.empty_like(order)
         rank[order] = np.arange(edge_count) << bits
+        # narrowed before the keys are built, so the build's peak falls too
+        order = order.astype(np.int32 if edge_count < 2**31 else np.int64, copy=False)
         keys = np.empty(2 * edge_count, dtype=np.int64)  # each slot's key
         np.bitwise_or(rank, v, out=keys[:edge_count])
         np.bitwise_or(rank, u, out=keys[edge_count:])
@@ -281,7 +290,7 @@ class Graph:
         step = 1 << 14
         for lo in range(0, 2 * edge_count, step):
             slots[lo : lo + step] = keys[slots[lo : lo + step]]
-        for array in (self.edge_u, self.edge_v, self.edge_weight, order, indptr, slots):
+        for array in (self.edge_weight, order, indptr, slots):
             array.flags.writeable = False
         self._adj_key = slots
         self._order = order
@@ -290,20 +299,65 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_u)
+        return len(self.edge_weight)
+
+    @property
+    def edge_u(self) -> np.ndarray:
+        """The lower endpoint of each edge, derived by :func:`_endpoints`."""
+        return _endpoints(self)[0]
+
+    @property
+    def edge_v(self) -> np.ndarray:
+        """The higher endpoint of each edge, derived by :func:`_endpoints`."""
+        return _endpoints(self)[1]
 
     def __eq__(self, other: object) -> bool:
+        # the stored arrays are a function of the edge columns that the
+        # derivation inverts, so equal arrays mean equal columns
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.node_count == other.node_count
-            and np.array_equal(self.edge_u, other.edge_u)
-            and np.array_equal(self.edge_v, other.edge_v)
-            and np.array_equal(self.edge_weight, other.edge_weight)
+        return self.node_count == other.node_count and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("edge_weight", "_order", "_indptr", "_adj_key")
         )
 
     def __repr__(self) -> str:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
+
+
+def _endpoints(graph: Graph, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 columns ``(u, v)`` of the edges ``ids`` (ascending
+    edge ids), or of every edge when ``ids`` is None, read off the adjacency.
+
+    Each edge has one entry whose owner is below its neighbour, in the list
+    of its ``u``; that entry's edge id is ``_order[key >> bits]``.  The
+    lists are walked ``_WALK`` entries at a time, each entry's owner found
+    by repeating the block's nodes over their entry counts, so besides the
+    two outputs only one block's temporaries are live, and, when ``ids``
+    is given, one byte per edge that marks them.
+    """
+    count = graph.edge_count if ids is None else len(ids)
+    u, v = np.empty(count, np.int64), np.empty(count, np.int64)
+    indptr, keys, bits = graph._indptr, graph._adj_key, graph._key_bits
+    if ids is not None:
+        chosen = np.zeros(graph.edge_count, dtype=bool)
+        chosen[ids] = True
+    for lo in range(0, len(keys) if count else 0, _WALK):
+        hi = min(lo + _WALK, len(keys))
+        first, stop = np.searchsorted(indptr, (lo, hi - 1), side="right")
+        bounds = np.clip(indptr[first - 1 : stop + 1], lo, hi)
+        owner = np.repeat(np.arange(first - 1, stop), np.diff(bounds))
+        key = keys[lo:hi]
+        neighbour = key & ((1 << bits) - 1)
+        own = owner < neighbour
+        edge = graph._order[key[own] >> bits]
+        owner, neighbour = owner[own], neighbour[own]
+        if ids is not None:  # keep the chosen edges, at their places among ids
+            hit = chosen[edge]
+            edge, owner, neighbour = np.searchsorted(ids, edge[hit]), owner[hit], neighbour[hit]
+        u[edge], v[edge] = owner, neighbour
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -397,10 +451,12 @@ def _edge_lines(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> str:
 
 def dumps_graph(graph: Graph) -> str:
     """The text of ``graph`` in the format described in the module docstring."""
-    u, v, w = graph.edge_u, graph.edge_v, graph.edge_weight
+    (u, v), w = _endpoints(graph), graph.edge_weight
     cuts = (slice(lo, lo + _BLOCK) for lo in range(0, graph.edge_count, _BLOCK))
-    blocks = [_edge_lines(u[c], v[c], w[c]) for c in cuts]
-    return "".join([f"{graph.node_count} {graph.edge_count}\n", *blocks])
+    header = f"{graph.node_count} {graph.edge_count}\n"
+    blocks = [header, *(_edge_lines(u[c], v[c], w[c]) for c in cuts)]
+    del u, v  # the join, the encoder's peak, holds the blocks and the text alone
+    return "".join(blocks)
 
 
 def _read(source: str | Path | TextIO | BinaryIO) -> str | bytes:

@@ -77,7 +77,7 @@ import numpy as np
 
 from .bitset import BitArray
 from .bloom import BloomFilter
-from .graph import Graph
+from .graph import Graph, _endpoints
 
 
 @dataclass
@@ -196,14 +196,15 @@ def prim_bloom(
 
 
 def _selected_columns(result: MstResult, graph: Graph) -> tuple[np.ndarray, ...]:
-    """Endpoint and weight columns of the selected edges, in ascending edge id."""
+    """Endpoint and weight columns of the selected edges, in ascending edge
+    id; only the selected edges' endpoints are derived."""
     if len(result.edge_bits) != graph.edge_count:
         raise ValueError(
             f"edge bit array has {len(result.edge_bits)} bits, "
             f"graph has {graph.edge_count} edges"
         )
     ids = result.edge_bits.indices()
-    return graph.edge_u[ids], graph.edge_v[ids], graph.edge_weight[ids]
+    return (*_endpoints(graph, ids), graph.edge_weight[ids])
 
 
 def recover_edges(result: MstResult, graph: Graph) -> list[tuple[int, int, float]]:

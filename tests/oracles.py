@@ -88,8 +88,15 @@ def traced_peak(fn, *args) -> int:
 
 def graph_nbytes(graph: Graph) -> int:
     """Bytes of the arrays a graph holds."""
-    arrays = (graph.edge_u, graph.edge_v, graph.edge_weight, graph._order, graph._adj_key, graph._indptr)
+    arrays = (graph.edge_weight, graph._order, graph._adj_key, graph._indptr)
     return sum(a.nbytes for a in arrays)
+
+
+def six_array_nbytes(graph: Graph) -> int:
+    """``48 * edge_count + 8 * (node_count + 1)``: the bytes of a graph that
+    also kept int64 ``edge_u`` and ``edge_v`` columns and an int64 ``_order``,
+    a fixed yardstick for bounds on the builds' peaks."""
+    return 48 * graph.edge_count + 8 * (graph.node_count + 1)
 
 
 def adjacent(graph: Graph, node: int) -> tuple[list[int], list[float], list[int]]:
@@ -198,21 +205,23 @@ def set_bytes_per_insert(limit: int) -> list[int]:
     return sizes
 
 
-def reference_csr(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``(_order, _indptr, _adj_key, _key_bits)`` built as :class:`Graph`
-    first built them, with two stable argsorts: of the weights, and of the
-    endpoints ``u`` then ``v`` in edge-id order."""
-    u, v, w, n = graph.edge_u, graph.edge_v, graph.edge_weight, graph.node_count
-    bits = max(1, (n - 1).bit_length())
+def reference_csr(node_count: int, u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(_order, _indptr, _adj_key, _key_bits)`` of the edge columns
+    ``(u, v, w)`` built as :class:`Graph` first built them, with two stable
+    argsorts: of the weights, and of the endpoints ``u`` then ``v`` in
+    edge-id order.  ``_order`` is int32 while there are fewer than 2**31
+    edges."""
+    u, v, w = (np.asarray(c, dtype=t) for c, t in ((u, np.int64), (v, np.int64), (w, np.float64)))
+    bits = max(1, (node_count - 1).bit_length())
     order = np.argsort(w, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order)) << bits
     src = np.concatenate([u, v])
     by_src = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
     keys = np.concatenate([rank | v, rank | u])
-    return order, indptr, keys[by_src], bits
+    return order.astype(np.int32 if len(order) < 2**31 else np.int64), indptr, keys[by_src], bits
 
 
 def first_bad_edge(node_count: int, u, v, w) -> tuple[int, str] | None:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import operator
 import tracemalloc
 
 import numpy as np
@@ -20,9 +21,17 @@ from bloomprim import (
     loads_graph,
     save_graph,
 )
-from bloomprim.graph import _component_labels, _first_bad_edge, _lsd_order, _repeated
+from bloomprim.graph import _component_labels, _endpoints, _first_bad_edge, _lsd_order, _repeated
+from bloomprim.mst import _selected_columns, prim_baseline, prim_bloom
 from conftest import make_natural_image
-from oracles import adjacent, first_bad_edge, graph_nbytes, reference_csr, traced_peak
+from oracles import (
+    adjacent,
+    first_bad_edge,
+    graph_nbytes,
+    reference_csr,
+    six_array_nbytes,
+    traced_peak,
+)
 
 
 _TIED = generate_graph(GeneratorConfig(node_count=300, seed=4))
@@ -45,6 +54,59 @@ def component_count(g: Graph) -> int:
 def _rebuilt_with_count_as(scalar, graph: Graph) -> Graph:
     """``graph`` built again with its node count passed as a ``scalar``."""
     return Graph(scalar(graph.node_count), graph.edge_u, graph.edge_v, graph.edge_weight)
+
+
+_CSR_CASES = [
+    pytest.param(lambda: _reweighted(np.full(_TIED.edge_count, 0.5)), id="all-equal"),
+    pytest.param(
+        lambda: _reweighted(np.where(np.arange(_TIED.edge_count) % 3, 0.0, -0.0)),
+        id="signed-zeros",
+    ),
+    pytest.param(
+        lambda: _reweighted(np.random.default_rng(5).integers(0, 4, _TIED.edge_count) * 1.0),
+        id="small-integer-ties",
+    ),
+    pytest.param(lambda: image_to_graph(make_natural_image(1, 64, 64)), id="image-64x64"),
+    pytest.param(lambda: image_to_graph(_blocky_image(64)), id="blocky-64x64"),
+    pytest.param(lambda: Graph(1, [], [], []), id="one-node"),
+    pytest.param(
+        lambda: Graph(7, [0, 2, 1, 0, 3], [6, 5, 6, 1, 4], [2.0, 1.0, 2.0, 0.0, 1.0]),
+        id="seven-nodes",
+    ),
+    *(
+        pytest.param(
+            lambda seed=seed: generate_graph(GeneratorConfig(node_count=1000, seed=seed)),
+            id=f"generated-1k-seed-{seed}",
+        )
+        for seed in range(20)
+    ),
+    # node_count << slot_bits passes 2**32 here, so offsets computed
+    # in the count's own 32-bit type would wrap
+    *(
+        pytest.param(
+            lambda scalar=scalar: _rebuilt_with_count_as(
+                scalar, generate_graph(GeneratorConfig(node_count=21000))
+            ),
+            id=f"generated-21k-{scalar.__name__}-node-count",
+        )
+        for scalar in (np.int32, np.uint32)
+    ),
+]
+
+
+def _spy_builds(monkeypatch) -> list:
+    """A list that gets ``(graph, node_count, u, v, w)`` for every
+    :class:`Graph` built from now on, with copies of the columns it was given."""
+    built = []
+    build = Graph.__init__
+
+    def spy(self, node_count, *columns):
+        build(self, node_count, *columns)
+        copies = (np.array(c, dtype) for c, dtype in zip(columns, (np.int64, np.int64, np.float64)))
+        built.append((self, operator.index(node_count), *copies))
+
+    monkeypatch.setattr(Graph, "__init__", spy)
+    return built
 
 
 class TestGraphConstruction:
@@ -104,57 +166,95 @@ class TestGraphConstruction:
 
     def test_build_peak_memory_bounded_by_graph_size(self):
         # the edge arrays are the caller's, so this counts what the build
-        # adds: at its peak, the keys beside the sorted slots, the order and
-        # the ranks, as many bytes as the graph's own arrays
+        # adds: at its peak, the keys beside the sorted slots, the int32
+        # order and the int64 ranks
         g = generate_graph(GeneratorConfig(node_count=5000, seed=3))
         peak = traced_peak(Graph, g.node_count, g.edge_u, g.edge_v, g.edge_weight)
-        assert peak < 1.1 * graph_nbytes(g)
+        assert peak < 1.1 * six_array_nbytes(g)
+
+    def test_stores_its_topology_once(self):
+        # weights (8), int32 order (4) and two int64 keys (16) per edge, and
+        # the int64 offsets: no endpoint column is kept
+        arrays = {"edge_weight", "_order", "_indptr", "_adj_key"}
+        assert set(Graph.__slots__) == {"node_count", "_key_bits", *arrays}
+        for g in (_TIED, image_to_graph(_blocky_image(64)), Graph(1, [], [], [])):
+            assert g._order.dtype == np.int32
+            assert graph_nbytes(g) == 28 * g.edge_count + 8 * (g.node_count + 1)
+
+    def test_derivation_peak_memory_bounded_by_its_outputs(self):
+        # one block of the walk is live beside the two int64 columns
+        g = generate_graph(GeneratorConfig(node_count=5000, seed=3))
+        assert traced_peak(_endpoints, g) < 1.5 * 16 * g.edge_count
 
     @pytest.mark.parametrize(
-        "make",
+        "solve", [prim_baseline, lambda g: prim_bloom(g, epsilon=0.3)], ids=["exact", "filter"]
+    )
+    def test_selected_columns_are_the_derived_columns_at_their_ids(self, solve):
+        # a filter solve at epsilon 0.3 loses nodes, so its ids skip edges
+        for g in (_TIED, image_to_graph(_blocky_image(64)), generate_graph(GeneratorConfig(5000))):
+            result = solve(g)
+            ids = result.edge_bits.indices()
+            columns = _selected_columns(result, g)
+            for got, want in zip(columns, (g.edge_u[ids], g.edge_v[ids], g.edge_weight[ids])):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not columns[0].flags.writeable and not columns[1].flags.writeable
+
+    @pytest.mark.parametrize("count", [3.5, np.float64(4.0)])
+    def test_rejects_non_integer_node_count(self, count):
+        # not truncated: 3.5 would build a 3-node graph
+        with pytest.raises(TypeError):
+            Graph(count, [0, 1], [1, 2], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "a, b",
         [
-            pytest.param(lambda: _reweighted(np.full(_TIED.edge_count, 0.5)), id="all-equal"),
-            pytest.param(
-                lambda: _reweighted(np.where(np.arange(_TIED.edge_count) % 3, 0.0, -0.0)),
-                id="signed-zeros",
-            ),
-            pytest.param(
-                lambda: _reweighted(np.random.default_rng(5).integers(0, 4, _TIED.edge_count) * 1.0),
-                id="small-integer-ties",
-            ),
-            pytest.param(lambda: image_to_graph(make_natural_image(1, 64, 64)), id="image-64x64"),
-            pytest.param(lambda: image_to_graph(_blocky_image(64)), id="blocky-64x64"),
-            pytest.param(lambda: Graph(1, [], [], []), id="one-node"),
-            pytest.param(
-                lambda: Graph(7, [0, 2, 1, 0, 3], [6, 5, 6, 1, 4], [2.0, 1.0, 2.0, 0.0, 1.0]),
-                id="seven-nodes",
-            ),
-            *(
-                pytest.param(
-                    lambda seed=seed: generate_graph(GeneratorConfig(node_count=1000, seed=seed)),
-                    id=f"generated-1k-seed-{seed}",
-                )
-                for seed in range(20)
-            ),
-            # node_count << slot_bits passes 2**32 here, so offsets computed
-            # in the count's own 32-bit type would wrap
-            *(
-                pytest.param(
-                    lambda scalar=scalar: _rebuilt_with_count_as(
-                        scalar, generate_graph(GeneratorConfig(node_count=21000))
-                    ),
-                    id=f"generated-21k-{scalar.__name__}-node-count",
-                )
-                for scalar in (np.int32, np.uint32)
+            ((4, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0]), (4, [0, 1, 1], [1, 2, 3], [1.0, 2.0, 3.0])),
+            ((4, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0]), (4, [0, 1, 2], [1, 3, 3], [1.0, 2.0, 3.0])),
+            ((4, [0, 2], [1, 3], [1.0, 2.0]), (4, [0, 1], [2, 3], [1.0, 2.0])),
+            ((4, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0]), (4, [0, 1, 2], [1, 2, 3], [1.0, 2.5, 3.0])),
+            ((4, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0]), (4, [0, 1, 2], [1, 2, 3], [3.0, 2.0, 1.0])),
+            ((4, [0, 1, 2], [1, 2, 3], [0.0, 0.5, -0.0]), (4, [0, 1, 2], [1, 2, 3], [-0.0, 0.5, 0.0])),
+            ((4, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0]), (5, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0])),
+            (
+                (4, np.array([0, 1, 2], np.int32), np.array([1, 2, 3], np.int32), [1.0, 2.0, 3.0]),
+                (4, np.array([0, 1, 2], np.int64), np.array([1, 2, 3], np.int64), [1.0, 2.0, 3.0]),
             ),
         ],
+        ids=[
+            "one-u",
+            "one-v",
+            "same-degrees",
+            "one-weight",
+            "weights-permuted",
+            "signed-zeros",
+            "node-count",
+            "int32-int64",
+        ],
     )
-    def test_csr_matches_reference_build(self, make):
-        g = make()
-        order, indptr, adj_key, bits = reference_csr(g)
-        assert g._key_bits == bits
-        for got, want in ((g._order, order), (g._indptr, indptr), (g._adj_key, adj_key)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    def test_equality_is_the_column_comparison(self, a, b):
+        # the stored arrays are compared, never the derived columns
+        columns_equal = a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+        ga, gb = Graph(*a), Graph(*b)
+        assert (ga == gb) == columns_equal and (ga != gb) != columns_equal
+
+    @pytest.mark.parametrize("make", _CSR_CASES)
+    def test_csr_matches_reference_build(self, make, monkeypatch):
+        built = _spy_builds(monkeypatch)
+        make()
+        for g, *columns in built:
+            order, indptr, adj_key, bits = reference_csr(*columns)
+            assert g._key_bits == bits
+            for got, want in ((g._order, order), (g._indptr, indptr), (g._adj_key, adj_key)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("make", _CSR_CASES)
+    def test_derived_endpoints_are_the_columns_built_from(self, make, monkeypatch):
+        built = _spy_builds(monkeypatch)
+        make()
+        for g, _, u, v, w in built:
+            for got, want in ((g.edge_u, u), (g.edge_v, v)):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert np.array_equal(g.edge_weight, w)
 
     def test_size_limit_checked_before_allocating(self):
         # keys and endpoint slots would overflow int64; the check comes
@@ -410,7 +510,7 @@ class TestGenerator:
         # the candidate pairs die before the graph is built, so the peak is
         # the build's, over the three edge arrays it is given
         config = GeneratorConfig(node_count=5000, seed=3)
-        assert traced_peak(generate_graph, config) < 1.6 * graph_nbytes(generate_graph(config))
+        assert traced_peak(generate_graph, config) < 1.6 * six_array_nbytes(generate_graph(config))
 
     def test_custom_extra_range(self):
         g = generate_graph(

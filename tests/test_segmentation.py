@@ -17,7 +17,7 @@ from bloomprim import (
     segment,
 )
 from conftest import make_natural_image
-from oracles import adjacent, graph_nbytes, traced_peak
+from oracles import adjacent, six_array_nbytes, traced_peak
 
 
 def solid(r, g, b, width=2, height=2):
@@ -80,7 +80,7 @@ class TestImageToGraph:
         # the pixel ids, widened pixels and edge blocks die before the
         # graph is built, so the peak is the build's over the edge columns
         image = make_natural_image(1, 64, 64)
-        assert traced_peak(image_to_graph, image) < 2.2 * graph_nbytes(image_to_graph(image))
+        assert traced_peak(image_to_graph, image) < 2.2 * six_array_nbytes(image_to_graph(image))
 
 
 class TestSegment:
