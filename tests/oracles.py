@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 
 from bloomprim import BitArray, BloomFilter, Graph, MstResult
+from bloomprim.graph import _endpoints
 
 
 class UnionFind:
@@ -41,8 +42,7 @@ def kruskal(graph: Graph) -> tuple[float, set[int]]:
     uf = UnionFind(graph.node_count)
     total = 0.0
     chosen: set[int] = set()
-    u = graph.edge_u
-    v = graph.edge_v
+    u, v = _endpoints(graph)
     w = graph.edge_weight
     for e in order.tolist():
         if uf.union(int(u[e]), int(v[e])):
@@ -58,11 +58,12 @@ def induced_kruskal(graph: Graph, nodes) -> tuple[float, set[int]]:
     order, so ties break as in :func:`kruskal` on the whole graph.
     """
     keep = np.sort(np.fromiter(nodes, dtype=np.int64))
-    ids = np.flatnonzero(np.isin(graph.edge_u, keep) & np.isin(graph.edge_v, keep))
+    u, v = _endpoints(graph)
+    ids = np.flatnonzero(np.isin(u, keep) & np.isin(v, keep))
     sub = Graph(
         len(keep),
-        np.searchsorted(keep, graph.edge_u[ids]),
-        np.searchsorted(keep, graph.edge_v[ids]),
+        np.searchsorted(keep, u[ids]),
+        np.searchsorted(keep, v[ids]),
         graph.edge_weight[ids],
     )
     cost, chosen = kruskal(sub)
@@ -72,7 +73,8 @@ def induced_kruskal(graph: Graph, nodes) -> tuple[float, set[int]]:
 def spanned_nodes(result, graph: Graph, start: int = 0) -> set[int]:
     """The start node plus every endpoint of the result's selected edges."""
     ids = result.edge_bits.indices()
-    return {start, *graph.edge_u[ids].tolist(), *graph.edge_v[ids].tolist()}
+    u, v = _endpoints(graph)
+    return {start, *u[ids].tolist(), *v[ids].tolist()}
 
 
 def traced_peak(fn, *args) -> int:

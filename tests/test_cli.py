@@ -19,6 +19,7 @@ from bloomprim import (
 )
 from bloomprim.bench import run_bench
 from bloomprim.cli import main
+from bloomprim.graph import _endpoints
 from oracles import induced_kruskal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,7 +123,8 @@ class TestMst:
         assert len(tree) == int(lines["selected_edges"])
         g = loads_graph(graph_file.read_text())
         cost, ids = induced_kruskal(g, {0, *(node for edge in tree for node in edge)})
-        assert tree == {(int(g.edge_u[e]), int(g.edge_v[e])) for e in ids}
+        u, v = _endpoints(g)
+        assert tree == {(int(u[e]), int(v[e])) for e in ids}
         assert float(lines["cost"]) == pytest.approx(cost, rel=1e-9)
 
     def test_edges_out(self, graph_file, tmp_path, capsys):

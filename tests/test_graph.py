@@ -38,7 +38,7 @@ _TIED = generate_graph(GeneratorConfig(node_count=300, seed=4))
 
 
 def _reweighted(weights) -> Graph:
-    return Graph(_TIED.node_count, _TIED.edge_u, _TIED.edge_v, weights)
+    return Graph(_TIED.node_count, *_endpoints(_TIED), weights)
 
 
 def _blocky_image(side: int) -> PixelImage:
@@ -48,12 +48,12 @@ def _blocky_image(side: int) -> PixelImage:
 
 
 def component_count(g: Graph) -> int:
-    return _component_labels(g.node_count, g.edge_u, g.edge_v)[1]
+    return _component_labels(g.node_count, *_endpoints(g))[1]
 
 
 def _rebuilt_with_count_as(scalar, graph: Graph) -> Graph:
     """``graph`` built again with its node count passed as a ``scalar``."""
-    return Graph(scalar(graph.node_count), graph.edge_u, graph.edge_v, graph.edge_weight)
+    return Graph(scalar(graph.node_count), *_endpoints(graph), graph.edge_weight)
 
 
 _CSR_CASES = [
@@ -142,9 +142,9 @@ class TestGraphConstruction:
     def test_adjacency_order_is_u_side_then_v_side_by_edge_id(self):
         # tie-heavy weights, so the keys' weight order differs from this one
         g = generate_graph(GeneratorConfig(node_count=300, seed=4))
-        tied = Graph(g.node_count, g.edge_u, g.edge_v, np.round(g.edge_weight, 1))
+        tied = Graph(g.node_count, *_endpoints(g), np.round(g.edge_weight, 1))
         for graph in (g, tied):
-            u, v, w = (a.tolist() for a in (graph.edge_u, graph.edge_v, graph.edge_weight))
+            u, v, w = (a.tolist() for a in (*_endpoints(graph), graph.edge_weight))
             for node in range(graph.node_count):
                 as_u = [e for e in range(graph.edge_count) if u[e] == node]
                 as_v = [e for e in range(graph.edge_count) if v[e] == node]
@@ -167,10 +167,12 @@ class TestGraphConstruction:
     def test_build_peak_memory_bounded_by_graph_size(self):
         # the edge arrays are the caller's, so this counts what the build
         # adds: at its peak, the keys beside the sorted slots, the int32
-        # order and the int64 ranks
+        # order and the int64 ranks, 44 bytes per edge and the offsets; an
+        # order narrowed only after the keys are built would take 48
         g = generate_graph(GeneratorConfig(node_count=5000, seed=3))
-        peak = traced_peak(Graph, g.node_count, g.edge_u, g.edge_v, g.edge_weight)
+        peak = traced_peak(Graph, g.node_count, *_endpoints(g), g.edge_weight)
         assert peak < 1.1 * six_array_nbytes(g)
+        assert peak < 1.05 * (44 * g.edge_count + 8 * (g.node_count + 1))
 
     def test_stores_its_topology_once(self):
         # weights (8), int32 order (4) and two int64 keys (16) per edge, and
@@ -195,9 +197,17 @@ class TestGraphConstruction:
             result = solve(g)
             ids = result.edge_bits.indices()
             columns = _selected_columns(result, g)
-            for got, want in zip(columns, (g.edge_u[ids], g.edge_v[ids], g.edge_weight[ids])):
+            u, v = _endpoints(g)
+            for got, want in zip(columns, (u[ids], v[ids], g.edge_weight[ids])):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             assert not columns[0].flags.writeable and not columns[1].flags.writeable
+
+    def test_selected_columns_hold_no_edge_long_column(self):
+        # only the tree's endpoints are derived: besides its blocks the walk
+        # holds one byte per edge, where two int64 columns would take 16
+        g = generate_graph(GeneratorConfig(node_count=5000, seed=3))
+        for result in (prim_baseline(g), prim_bloom(g, epsilon=0.3)):
+            assert traced_peak(_selected_columns, result, g) < 8 * g.edge_count
 
     @pytest.mark.parametrize("count", [3.5, np.float64(4.0)])
     def test_rejects_non_integer_node_count(self, count):
@@ -533,8 +543,8 @@ class TestFileFormat:
 
     def test_round_trip_preserves_edge_ids(self, triangle):
         g = loads_graph(dumps_graph(triangle))
-        assert np.array_equal(g.edge_u, triangle.edge_u)
-        assert np.array_equal(g.edge_v, triangle.edge_v)
+        for got, want in zip(_endpoints(g), _endpoints(triangle)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "text, line",

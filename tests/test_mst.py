@@ -18,6 +18,7 @@ from bloomprim import (
     prim_bloom,
     recover_edges,
 )
+from bloomprim.graph import _endpoints
 from oracles import induced_kruskal, is_forest, kruskal, spanned_nodes, traced_peak, tuple_prim
 
 
@@ -169,10 +170,11 @@ def test_edge_weight_ties_broken_by_edge_id():
 def _tie_graphs() -> list[Graph]:
     graphs = [generate_graph(GeneratorConfig(node_count=200, seed=seed)) for seed in range(20)]
     g = graphs[0]
-    graphs.append(Graph(g.node_count, g.edge_u, g.edge_v, np.full(g.edge_count, 0.5)))
+    u, v = _endpoints(g)
+    graphs.append(Graph(g.node_count, u, v, np.full(g.edge_count, 0.5)))
     signed = np.where(np.arange(g.edge_count) % 3 == 0, -0.0, 0.0)
     mixed = np.where(g.edge_weight < 0.6, signed, g.edge_weight)
-    graphs.append(Graph(g.node_count, g.edge_u, g.edge_v, mixed))
+    graphs.append(Graph(g.node_count, u, v, mixed))
     graphs.append(_card_graph())
     return graphs
 
