@@ -15,11 +15,12 @@ edge id is ``_order[key >> bits]`` and the neighbour ``key & (2**bits -
 1)``.  ``_order`` is int32 while ``edge_count < 2**31``, int64 beyond.
 The endpoint columns are not kept: ``_endpoints`` reads them back off
 the lists, where an entry whose owner is below its neighbour is its
-edge's ``(u, v)``, a block of entries at a time; it derives every edge
-(``Graph.edge_u``, ``Graph.edge_v``, :func:`dumps_graph`) or only the
-edges asked for (the selected edges of a tree).  The build is a
-function of the columns and the derivation inverts it, so two graphs
-are equal when their node counts and four arrays are.
+edge's ``(u, v)``, a block of entries at a time.  It always derives
+every edge: ``Graph.edge_u``, ``Graph.edge_v`` and :func:`dumps_graph`
+read the whole columns, and a tree's endpoints are those columns at its
+edge ids.  The build is a function of the columns and the derivation
+inverts it, so two graphs are equal when their node counts and four
+arrays are.
 
 Every order here comes from sorts of unique int64 values, so no sort
 need be stable and any sort algorithm gives the same arrays.  One
@@ -104,7 +105,7 @@ any, applies.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, TextIO
@@ -325,24 +326,18 @@ class Graph:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
 
 
-def _endpoints(graph: Graph, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int64 columns ``(u, v)`` of the edges ``ids`` (ascending
-    edge ids), or of every edge when ``ids`` is None, read off the adjacency.
+def _endpoints(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 columns ``(u, v)`` of every edge, read off the adjacency.
 
     Each edge has one entry whose owner is below its neighbour, in the list
     of its ``u``; that entry's edge id is ``_order[key >> bits]``.  The
     lists are walked ``_WALK`` entries at a time, each entry's owner found
     by repeating the block's nodes over their entry counts, so besides the
-    two outputs only one block's temporaries are live, and, when ``ids``
-    is given, one byte per edge that marks them.
+    two outputs only one block's temporaries are live.
     """
-    count = graph.edge_count if ids is None else len(ids)
-    u, v = np.empty(count, np.int64), np.empty(count, np.int64)
+    u, v = np.empty(graph.edge_count, np.int64), np.empty(graph.edge_count, np.int64)
     indptr, keys, bits = graph._indptr, graph._adj_key, graph._key_bits
-    if ids is not None:
-        chosen = np.zeros(graph.edge_count, dtype=bool)
-        chosen[ids] = True
-    for lo in range(0, len(keys) if count else 0, _WALK):
+    for lo in range(0, len(keys), _WALK):
         hi = min(lo + _WALK, len(keys))
         first, stop = np.searchsorted(indptr, (lo, hi - 1), side="right")
         bounds = np.clip(indptr[first - 1 : stop + 1], lo, hi)
@@ -351,18 +346,18 @@ def _endpoints(graph: Graph, ids: np.ndarray | None = None) -> tuple[np.ndarray,
         neighbour = key & ((1 << bits) - 1)
         own = owner < neighbour
         edge = graph._order[key[own] >> bits]
-        owner, neighbour = owner[own], neighbour[own]
-        if ids is not None:  # keep the chosen edges, at their places among ids
-            hit = chosen[edge]
-            edge, owner, neighbour = np.searchsorted(ids, edge[hit]), owner[hit], neighbour[hit]
-        u[edge], v[edge] = owner, neighbour
+        u[edge], v[edge] = owner[own], neighbour[own]
     u.flags.writeable = v.flags.writeable = False
     return u, v
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for :func:`generate_graph`."""
+    """Knobs for :func:`generate_graph`.
+
+    Each field is an integer, taken by ``operator.index`` as ``Graph()``
+    takes its node count: a numpy integer is converted, a float rejected.
+    """
 
     node_count: int
     min_extra_edges: int = 1
@@ -370,6 +365,10 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name, operator.index(getattr(self, field.name)))
+        if self.seed < 0:  # SeedSequence takes nonnegative seeds only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.node_count < 2:
             raise ValueError(f"node_count must be >= 2, got {self.node_count}")
         if not 1 <= self.min_extra_edges <= self.max_extra_edges:

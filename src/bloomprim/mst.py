@@ -197,14 +197,18 @@ def prim_bloom(
 
 def _selected_columns(result: MstResult, graph: Graph) -> tuple[np.ndarray, ...]:
     """Endpoint and weight columns of the selected edges, in ascending edge
-    id; only the selected edges' endpoints are derived."""
+    id: the whole derived columns of :func:`~bloomprim.graph._endpoints`
+    and the weights, each indexed at the selected ids.  The endpoint
+    columns are read-only."""
     if len(result.edge_bits) != graph.edge_count:
         raise ValueError(
             f"edge bit array has {len(result.edge_bits)} bits, "
             f"graph has {graph.edge_count} edges"
         )
     ids = result.edge_bits.indices()
-    return (*_endpoints(graph, ids), graph.edge_weight[ids])
+    u, v = (column[ids] for column in _endpoints(graph))
+    u.flags.writeable = v.flags.writeable = False
+    return u, v, graph.edge_weight[ids]
 
 
 def recover_edges(result: MstResult, graph: Graph) -> list[tuple[int, int, float]]:

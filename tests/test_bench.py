@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bloomprim import (
@@ -86,6 +87,16 @@ class TestRunBench:
         lines = []
         with pytest.raises(ValueError, match=r"^node_count must be >= 2, got 1$"):
             run_bench(sizes=(50, 1), progress=lines.append)
+        assert lines == []
+
+    def test_numpy_sizes_give_the_same_csv(self):
+        a = run_bench(sizes=np.array([60]), runs_per_size=2, seed=11).to_csv()
+        assert a == run_bench(sizes=(60,), runs_per_size=2, seed=11).to_csv()
+
+    def test_float_size_fails_before_any_trial(self):
+        lines = []
+        with pytest.raises(TypeError):
+            run_bench(sizes=(50, 1000.0), progress=lines.append)
         assert lines == []
 
     def test_progress_callback(self):

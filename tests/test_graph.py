@@ -183,10 +183,20 @@ class TestGraphConstruction:
             assert g._order.dtype == np.int32
             assert graph_nbytes(g) == 28 * g.edge_count + 8 * (g.node_count + 1)
 
-    def test_derivation_peak_memory_bounded_by_its_outputs(self):
-        # one block of the walk is live beside the two int64 columns
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            _endpoints,
+            lambda g: _selected_columns(prim_baseline(g), g),
+            lambda g: _selected_columns(prim_bloom(g, epsilon=0.3), g),
+        ],
+        ids=["endpoints", "tree-exact", "tree-filter"],
+    )
+    def test_derivation_peak_memory_bounded_by_its_outputs(self, derive):
+        # one block of the walk is live beside the two int64 columns; a
+        # tree's columns index them, and its solve peaks below them
         g = generate_graph(GeneratorConfig(node_count=5000, seed=3))
-        assert traced_peak(_endpoints, g) < 1.5 * 16 * g.edge_count
+        assert traced_peak(derive, g) < 1.5 * 16 * g.edge_count
 
     @pytest.mark.parametrize(
         "solve", [prim_baseline, lambda g: prim_bloom(g, epsilon=0.3)], ids=["exact", "filter"]
@@ -201,13 +211,6 @@ class TestGraphConstruction:
             for got, want in zip(columns, (u[ids], v[ids], g.edge_weight[ids])):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             assert not columns[0].flags.writeable and not columns[1].flags.writeable
-
-    def test_selected_columns_hold_no_edge_long_column(self):
-        # only the tree's endpoints are derived: besides its blocks the walk
-        # holds one byte per edge, where two int64 columns would take 16
-        g = generate_graph(GeneratorConfig(node_count=5000, seed=3))
-        for result in (prim_baseline(g), prim_bloom(g, epsilon=0.3)):
-            assert traced_peak(_selected_columns, result, g) < 8 * g.edge_count
 
     @pytest.mark.parametrize("count", [3.5, np.float64(4.0)])
     def test_rejects_non_integer_node_count(self, count):
@@ -507,6 +510,11 @@ class TestGenerator:
             GeneratorConfig(node_count=10, min_extra_edges=0)
         with pytest.raises(ValueError):
             GeneratorConfig(node_count=10, min_extra_edges=5, max_extra_edges=2)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            GeneratorConfig(node_count=10, seed=-1)
+        for field in ("node_count", "min_extra_edges", "max_extra_edges", "seed"):
+            with pytest.raises(TypeError):  # not truncated, nor left to fail inside the draws
+                GeneratorConfig(**{"node_count": 10, field: 4.0})
 
     def test_config_bounds_the_extra_edge_draw_count(self):
         # node_count * max_extra_edges bounds the draw count, which must fit in int64
@@ -515,6 +523,14 @@ class TestGenerator:
         for n, extra in ((2, 2**62), (4, 2**62), (5, 10**20)):
             with pytest.raises(ValueError, match=bound):
                 GeneratorConfig(node_count=n, max_extra_edges=extra)
+
+    def test_config_takes_numpy_integers(self):
+        config = GeneratorConfig(np.int64(50), np.int32(2), np.uint8(9), np.int64(7))
+        assert config == GeneratorConfig(50, 2, 9, 7)
+        assert all(type(field) is int for field in vars(config).values())
+        assert dumps_graph(generate_graph(config)) == dumps_graph(
+            generate_graph(GeneratorConfig(50, 2, 9, 7))
+        )
 
     def test_peak_memory_bounded_by_graph_size(self):
         # the candidate pairs die before the graph is built, so the peak is

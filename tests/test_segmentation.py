@@ -82,6 +82,14 @@ class TestImageToGraph:
         image = make_natural_image(1, 64, 64)
         assert traced_peak(image_to_graph, image) < 2.2 * six_array_nbytes(image_to_graph(image))
 
+    @pytest.mark.parametrize("solver", ["baseline", "bloom"])
+    def test_segment_peaks_at_the_graph_build(self, solver):
+        # the solve and the tree's columns, whole derived endpoint columns
+        # (16 bytes per edge) included, stay below the build's peak; the
+        # slack covers interpreter allocations that vary by tens of bytes
+        image = make_natural_image(1, 64, 64)
+        assert traced_peak(segment, image, 100.0, solver) <= traced_peak(image_to_graph, image) + 1024
+
 
 class TestSegment:
     def test_uniform_image_single_cluster(self):
