@@ -404,9 +404,7 @@ def _edge_pairs(config: GeneratorConfig, raw) -> tuple[np.ndarray, np.ndarray]:
     lo = np.minimum(u_all, v_all)
     hi = np.maximum(u_all, v_all)
     del u_all, v_all
-    not_loop = lo != hi
-    lo, hi = lo[not_loop], hi[not_loop]
-    keep = ~_repeated(lo, hi, n)
+    keep = (lo != hi) & ~_repeated(lo, hi, n)
     return lo[keep], hi[keep]
 
 

@@ -25,16 +25,18 @@ and weight are read back on accepted pops alone.  Keys fit in int64,
 since a graph has ``edge_count * node_count < 2**61`` (see
 :mod:`bloomprim.graph`).
 
-The visited record is one int64 per node, ``best[node]``: ``-1`` once
-the node is accepted, ``-2`` once it is lost to a false positive, and
-otherwise the smallest key pushed for it so far.  A node is *resolved*
-once it is accepted or lost.  Keys are nonnegative, so an expansion's
-one test per adjacency entry, ``key < best[sink]``, drops every key to
-a resolved sink and every key no lighter than one already pushed.  A
-popped key that is not its sink's best is dropped.  The filter is asked
-about a node only when its best key pops, so each node but the start is
-probed at most once, and since the node is unresolved then, each
-"visited" answer is a false positive and marks the node lost.
+The visited record is one int64 per node, ``best[node]``, in one of two
+states: ``-1`` once the node is *resolved*, that is accepted or lost to
+a false positive, and otherwise the smallest key pushed for it so far.
+Keys are nonnegative, so an expansion's one test per adjacency entry,
+``key < best[sink]``, drops every key to a resolved sink and every key
+no lighter than one already pushed, and a popped key is dropped unless
+it equals its sink's best.  A node is resolved in one place: when its
+best key pops, it is marked ``-1`` and counted, and only then is the
+filter asked about it.  So each node but the start is probed at most
+once, a filter solve's probes number ``resolved - 1``, and since the
+node was unresolved until that pop, each "visited" answer is a false
+positive: the node is lost, and the loop pops on.
 
 This changes no output from a loop that probes every sink before
 pushing it and every pop.  There, a probe of an accepted node answers
@@ -102,11 +104,13 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
     """Grow a tree from ``start``; ``visited`` is None or a filter to consult.
 
     ``best[node]`` is the visited record: ``-1`` once ``node`` is
-    accepted, ``-2`` once it is lost, otherwise the smallest key pushed
-    for it.  ``visited``, when given, is any object with ``add`` and
-    ``in`` over int keys; every accepted node is added to it, and it is
-    probed only when a node's best key pops, so each node is probed at
-    most once and each "visited" answer loses its node.
+    resolved (accepted or lost), otherwise the smallest key pushed for
+    it.  A node is resolved, and counted in ``resolved``, when its best
+    key pops.  ``visited``, when given, is any object with ``add`` and
+    ``in`` over int keys; it is probed right after that resolution, so
+    each node is probed at most once and each "visited" answer loses its
+    node, and every accepted node is added to it.  The result's counts
+    come from the popcount of the selected edges.
     """
     node_count = graph.node_count
     if not 0 <= start < node_count:
@@ -116,7 +120,6 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
     edge_bits = BitArray(graph.edge_count)
     edge_buf = edge_bits._buf
     total_cost = 0.0
-    selected = 0
     resolved = 1
     bits = graph._key_bits
     mask = (1 << bits) - 1
@@ -141,21 +144,19 @@ def _prim(graph: Graph, start: int, visited) -> MstResult:
             key = pop(heap)
             node = key & mask
             if key == best[node]:
+                best[node] = -1
+                resolved += 1
                 if visited is None or node not in visited:
                     break
-                best[node] = -2
-                resolved += 1
         else:
             break
-        best[node] = -1
         if visited is not None:
             visited.add(node)
-        resolved += 1
         edge_id = order[key >> bits]
         total_cost += weight[edge_id]
-        selected += 1
         edge_buf[edge_id >> 3] |= 1 << (edge_id & 7)
 
+    selected = edge_bits.popcount()
     return MstResult(total_cost, edge_bits, selected, selected + 1)
 
 

@@ -230,25 +230,46 @@ def _outcome(result):
     )
 
 
+def _two_component_graph() -> Graph:
+    """A 200-node and a 300-node generated graph side by side, the second's
+    ids offset by 200, so a solve from either side ends on an empty heap."""
+    a, b = (generate_graph(GeneratorConfig(node_count=n, seed=n)) for n in (200, 300))
+    (au, av), (bu, bv) = _endpoints(a), _endpoints(b)
+    return Graph(
+        500,
+        np.concatenate([au, bu + 200]),
+        np.concatenate([av, bv + 200]),
+        np.concatenate([a.edge_weight, b.edge_weight]),
+    )
+
+
 def test_int_key_frontier_pops_in_tuple_order():
     """Both solvers equal the tuple-heap loop bit for bit, ties included:
-    the tree, the filter's final bits and the nodes lost to false positives."""
+    the tree, the filter's final bits and the nodes lost to false positives.
+    Each graph is solved from node 0 and from its middle node, and one
+    graph has two components, so the loop's ending on an empty heap with
+    nodes unreached is compared as well as its ending on the last node."""
     graphs = _tie_graphs()
     assert (graphs[-1].edge_weight == 0).mean() > 0.5
+    graphs.append(_two_component_graph())
     lost = 0
     for i, g in enumerate(graphs):
-        assert _outcome(prim_baseline(g)) == _outcome(tuple_prim(g, 0, set()))
-        for epsilon in (0.01, 0.3):
-            ours, ref = (
-                _Shadow(BloomFilter.for_capacity(g.node_count, epsilon, hash_seed=i))
-                for _ in range(2)
-            )
-            got = prim_bloom(g, 0, visited=ours)
-            assert _outcome(got) == _outcome(tuple_prim(g, 0, ref))
-            assert _outcome(got) == _outcome(prim_bloom(g, 0, epsilon=epsilon, hash_seed=i))
-            assert ours.inner.bits == ref.inner.bits
-            assert ours.false_positives == ref.false_positives
-            lost += len(ours.false_positives)
+        for start in (0, g.node_count // 2):
+            assert _outcome(prim_baseline(g, start)) == _outcome(tuple_prim(g, start, set()))
+            for epsilon in (0.01, 0.3):
+                ours, ref = (
+                    _Shadow(BloomFilter.for_capacity(g.node_count, epsilon, hash_seed=i))
+                    for _ in range(2)
+                )
+                got = prim_bloom(g, start, visited=ours)
+                assert _outcome(got) == _outcome(tuple_prim(g, start, ref))
+                assert _outcome(got) == _outcome(
+                    prim_bloom(g, start, epsilon=epsilon, hash_seed=i)
+                )
+                assert ours.inner.bits == ref.inner.bits
+                assert ours.false_positives == ref.false_positives
+                lost += len(ours.false_positives)
+    assert [prim_baseline(graphs[-1], s).spanned_node_count for s in (0, 250)] == [200, 300]
     assert lost > 0
 
 
