@@ -33,19 +33,25 @@ u)``, the repeats of each pair after its first occurrence
 (``_repeated``), which the generator drops and the validator reports.
 The lists come from a separate in-place sort of ``node << slot_bits |
 slot`` over the ``2 * edge_count`` endpoint slots, slot ``e`` holding
-edge ``e``'s ``u`` and slot ``edge_count + e`` its ``v``, with
+edge ``e``'s ``u`` and slot ``2**(slot_bits - 1) + e`` its ``v``, with
 ``slot_bits = max(1, (2 * edge_count - 1).bit_length())``: a node's
 entries are its slots in ascending order.  The offsets ``_indptr`` are
 read off the same sort: node ``k``'s entries are the sorted values in
 ``[k << slot_bits, (k + 1) << slot_bits)``, found by binary search.
-Sorting the slot values in place, not ordering positions, keeps the
-build's peak at the bytes of the graph's own arrays.  Keys stay below
-``2 * edge_count * node_count``, and those values and the offsets'
-bounds (up to ``node_count << slot_bits``) below ``4 * max(edge_count,
-1) * node_count``, so ``Graph`` requires ``max(edge_count, 1) *
-node_count < 2**61``, edgeless graphs included, and checks it before it
-sorts anything or allocates by ``node_count``; a connected graph would
-need over 1.5 * 10**9 edges, whose arrays alone take ~70 GB.
+Each sorted value is then replaced, in place and a block at a time, by
+its key: one int64 column ``rank << bits | (u ^ v)`` per edge, at the
+edge in the value's low bits, XORed with the owner in its high bits.
+So the build holds the sorted slots, the int32 order, the offsets and
+that column, which is as many bytes as the graph's own arrays (the
+column in place of the weights), plus one block's temporaries: 8.55 MB
+traced for the 21k-node desk graph's 8.42 MB, or about 29.5 bytes per
+edge at 5,000 nodes.  Keys stay below ``2 * edge_count * node_count``,
+and those values and the offsets' bounds (up to ``node_count <<
+slot_bits``) below ``4 * max(edge_count, 1) * node_count``, so ``Graph``
+requires ``max(edge_count, 1) * node_count < 2**61``, edgeless graphs
+included, and checks it before it sorts anything or allocates by
+``node_count``; a connected graph would need over 1.5 * 10**9 edges,
+whose arrays alone take ~70 GB.
 
 Components are labelled from two endpoint arrays alone, by whole-array
 hook-and-shortcut rounds (Shiloach & Vishkin, J. Algorithms 1982), in
@@ -115,7 +121,7 @@ from numpy.random import PCG64, SeedSequence
 
 _BLOCK = 1 << 12  # edge lines per block of the text codec
 _PIECE = 1 << 17  # least characters of text split into lines at once by the parser
-_WALK = 1 << 12  # adjacency entries per block of the endpoint derivation
+_STEP = 1 << 12  # entries per block of the blockwise passes over edge-long arrays
 
 
 class GraphFormatError(ValueError):
@@ -153,7 +159,9 @@ def _first_bad_edge(node_count: int, u, v, w) -> tuple[int, str] | None:
     firsts = [int(bad.argmax()) if bad.any() else len(u) for bad, _ in rules]
     i = min(firsts)
     message = rules[firsts.index(i)][1] if i < len(u) else None
-    values = np.sort(u[:i] * node_count + v[:i])
+    values = u[:i] * node_count
+    values += v[:i]
+    values.sort()
     if (values[1:] == values[:-1]).any():  # rare, so only then search exactly
         repeats = np.flatnonzero(_repeated(u[:i], v[:i], node_count))
         if len(repeats):
@@ -175,11 +183,13 @@ def _lsd_order(count: int, words, bits: int) -> np.ndarray:
     item at each position of the order so far: any sort gives the same
     order, and equal digits keep that order.  A digit equal on every item
     leaves the order as it is and is skipped.  The inputs are never
-    written.
+    written.  A pass holds the order so far and its sort values, two
+    int64 arrays of ``count`` items: the positions are ORed in and the
+    sorted positions replaced by the items of the order so far ``_STEP``
+    at a time, in place.
     """
     id_bits = max(1, (count - 1).bit_length())
     width = 63 - id_bits
-    positions = np.arange(count)
     order = None
     for word in words:
         for top in reversed(range(bits, 0, -width)):
@@ -189,11 +199,15 @@ def _lsd_order(count: int, words, bits: int) -> np.ndarray:
             if (key == key[:1]).all():
                 continue
             key <<= id_bits
-            key |= positions
+            for lo in range(0, count, _STEP):
+                key[lo : lo + _STEP] |= np.arange(lo, min(lo + _STEP, count))
             key.sort()
             key &= (1 << id_bits) - 1
-            order = key if order is None else order[key]
-    return positions if order is None else order
+            if order is not None:
+                for lo in range(0, count, _STEP):
+                    key[lo : lo + _STEP] = order[key[lo : lo + _STEP]]
+            order = key
+    return np.arange(count) if order is None else order
 
 
 def _repeated(u: np.ndarray, v: np.ndarray, node_count: int) -> np.ndarray:
@@ -230,8 +244,10 @@ class Graph:
     and ``_adj_key``, ``28 * edge_count + 8 * (node_count + 1)`` bytes.
     ``edge_u`` and ``edge_v`` are not kept: each read derives the column
     afresh from the adjacency (:func:`_endpoints`), as a new read-only
-    int64 array.  The id columns are only read, so callers may reuse
-    theirs.  A weight column that is already a contiguous float64 array
+    int64 array.  Besides the caller's columns, the build holds at its
+    peak as many bytes as those four arrays and one block's temporaries
+    (module docstring).  The id columns are only read, so callers may
+    reuse theirs.  A weight column that is already a contiguous float64 array
     is not copied: the graph holds a read-only view of it, so a caller
     must not write to it afterwards.
     """
@@ -269,28 +285,31 @@ class Graph:
         # a valid weight orders as the low 63 bits of its bit pattern; the
         # sign bit, set only on -0.0, is ignored, so -0.0 ties with 0.0
         order = _lsd_order(edge_count, (w.view(np.int64),), 63)
+        order = order.astype(np.int32 if edge_count < 2**31 else np.int64, copy=False)
         slot_bits = max(1, (2 * edge_count - 1).bit_length())
         slots = np.empty(2 * edge_count, dtype=np.int64)
-        np.left_shift(u, slot_bits, out=slots[:edge_count])
-        np.left_shift(v, slot_bits, out=slots[edge_count:])
-        slots |= np.arange(2 * edge_count)
+        sides = slots.reshape(2, edge_count)  # u-side, then v-side slots
+        np.left_shift(u, slot_bits, out=sides[0])
+        np.left_shift(v, slot_bits, out=sides[1])
+        sides[1] |= 1 << (slot_bits - 1)
+        for lo in range(0, edge_count, _STEP):
+            sides[:, lo : lo + _STEP] |= np.arange(lo, min(lo + _STEP, edge_count))
         slots.sort()
         # node k's entries are the sorted values in [k << slot_bits, (k + 1) << slot_bits)
         indptr = np.searchsorted(slots, np.arange(node_count + 1, dtype=np.int64) << slot_bits)
-        slots &= (1 << slot_bits) - 1
-        rank = np.empty_like(order)
-        rank[order] = np.arange(edge_count) << bits
-        # narrowed before the keys are built, so the build's peak falls too
-        order = order.astype(np.int32 if edge_count < 2**31 else np.int64, copy=False)
-        keys = np.empty(2 * edge_count, dtype=np.int64)  # each slot's key
-        np.bitwise_or(rank, v, out=keys[:edge_count])
-        np.bitwise_or(rank, u, out=keys[edge_count:])
-        del rank
-        # gathered in place, a block at a time, so the build's peak is the
-        # keys beside the slots: no third array of 2 * edge_count entries
-        step = 1 << 14
-        for lo in range(0, 2 * edge_count, step):
-            slots[lo : lo + step] = keys[slots[lo : lo + step]]
+        # rank << bits | (u ^ v) per edge: XORed with an entry's owner, one
+        # endpoint, it holds the other, so it is that entry's key
+        column = np.empty(edge_count, dtype=np.int64)
+        for lo in range(0, edge_count, _STEP):
+            rank = np.arange(lo, min(lo + _STEP, edge_count), dtype=np.int64)
+            column[order[lo : lo + _STEP]] = rank << bits
+        column ^= u
+        column ^= v
+        edge_mask = (1 << (slot_bits - 1)) - 1
+        for lo in range(0, 2 * edge_count, _STEP):
+            value = slots[lo : lo + _STEP]
+            value[:] = column[value & edge_mask] ^ (value >> slot_bits)
+        del column
         for array in (self.edge_weight, order, indptr, slots):
             array.flags.writeable = False
         self._adj_key = slots
@@ -331,14 +350,14 @@ def _endpoints(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     Each edge has one entry whose owner is below its neighbour, in the list
     of its ``u``; that entry's edge id is ``_order[key >> bits]``.  The
-    lists are walked ``_WALK`` entries at a time, each entry's owner found
+    lists are walked ``_STEP`` entries at a time, each entry's owner found
     by repeating the block's nodes over their entry counts, so besides the
     two outputs only one block's temporaries are live.
     """
     u, v = np.empty(graph.edge_count, np.int64), np.empty(graph.edge_count, np.int64)
     indptr, keys, bits = graph._indptr, graph._adj_key, graph._key_bits
-    for lo in range(0, len(keys), _WALK):
-        hi = min(lo + _WALK, len(keys))
+    for lo in range(0, len(keys), _STEP):
+        hi = min(lo + _STEP, len(keys))
         first, stop = np.searchsorted(indptr, (lo, hi - 1), side="right")
         bounds = np.clip(indptr[first - 1 : stop + 1], lo, hi)
         owner = np.repeat(np.arange(first - 1, stop), np.diff(bounds))
@@ -384,26 +403,25 @@ class GeneratorConfig:
 
 def _edge_pairs(config: GeneratorConfig, raw) -> tuple[np.ndarray, np.ndarray]:
     """Steps 1-4 of the module-level procedure: the surviving pairs ``(lo,
-    hi)`` in edge-id order, drawn from ``raw``.  Its temporaries die on
-    return, before :func:`generate_graph` builds the graph."""
+    hi)`` in edge-id order, drawn from ``raw``.  The candidates are written
+    into two preallocated int64 columns, each draw dropped once it is
+    copied, and ``hi`` is made in place, so the peak is the dedupe's
+    (:func:`_repeated`); the temporaries die on return, before
+    :func:`generate_graph` builds the graph."""
     n = config.node_count
-    backbone_parent = raw(n - 1) % np.arange(1, n, dtype=np.uint64)
     span = np.uint64(config.max_extra_edges - config.min_extra_edges + 1)
+    parents = raw(n - 1) % np.arange(1, n, dtype=np.uint64)
     counts = raw(n) % span + np.uint64(config.min_extra_edges)
-    targets = raw(int(counts.sum())) % np.uint64(n)
-
-    u_all = np.concatenate(
-        [
-            backbone_parent.astype(np.int64),
-            np.repeat(np.arange(n, dtype=np.int64), counts.astype(np.int64)),
-        ]
-    )
-    v_all = np.concatenate(
-        [np.arange(1, n, dtype=np.int64), targets.astype(np.int64)]
-    )
-    lo = np.minimum(u_all, v_all)
-    hi = np.maximum(u_all, v_all)
-    del u_all, v_all
+    size = n - 1 + int(counts.sum())
+    # the candidates, backbone then extras: (u, v), then canonical (lo, hi)
+    u, hi = np.empty(size, np.int64), np.empty(size, np.int64)
+    u[: n - 1], hi[: n - 1] = parents, np.arange(1, n)
+    u[n - 1 :] = np.repeat(np.arange(n), counts.astype(np.int64))
+    del parents, counts
+    hi[n - 1 :] = raw(size - n + 1) % np.uint64(n)
+    lo = np.minimum(u, hi)
+    np.maximum(u, hi, out=hi)
+    del u
     keep = (lo != hi) & ~_repeated(lo, hi, n)
     return lo[keep], hi[keep]
 

@@ -85,30 +85,30 @@ def image_to_graph(image: PixelImage) -> Graph:
 def _pixel_edges(image: PixelImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(u, v, weight)`` columns of :func:`image_to_graph`'s edges.
 
-    The pixel ids, the widened pixels and the blocks die on return, before
-    the graph is built.
+    Each direction's block is written straight into the three columns, so
+    besides them only the pixel ids, the widened pixels and one block's
+    differences are live; those die on return, before the graph is built.
     """
     h, w = image.height, image.width
     ids = np.arange(h * w, dtype=np.int64).reshape(h, w)
     px = image.pixels.astype(np.int32)  # a squared distance is at most 3 * 255**2
-
-    def block(a_rows, a_cols, b_rows, b_cols):
-        u = ids[a_rows, a_cols].ravel()
-        v = ids[b_rows, b_cols].ravel()
-        d = px[a_rows, a_cols] - px[b_rows, b_cols]
-        wt = np.einsum("...k,...k->...", d, d).astype(np.float64).ravel()
-        return u, v, wt
-
+    edge_count = (w - 1) * h + w * (h - 1) + 2 * (w - 1) * (h - 1)
+    u, v, wt = np.empty(edge_count, np.int64), np.empty(edge_count, np.int64), np.empty(edge_count)
     rows_all, cols_all = slice(None), slice(None)
-    blocks = [
-        block(rows_all, slice(0, w - 1), rows_all, slice(1, w)),          # east
-        block(slice(0, h - 1), cols_all, slice(1, h), cols_all),          # south
-        block(slice(0, h - 1), slice(0, w - 1), slice(1, h), slice(1, w)),  # south-east
-        block(slice(0, h - 1), slice(1, w), slice(1, h), slice(0, w - 1)),  # south-west
-    ]
-    u = np.concatenate([b[0] for b in blocks])
-    v = np.concatenate([b[1] for b in blocks])
-    wt = np.concatenate([b[2] for b in blocks])
+    start = 0
+    for a, b in (
+        ((rows_all, slice(0, w - 1)), (rows_all, slice(1, w))),  # east
+        ((slice(0, h - 1), cols_all), (slice(1, h), cols_all)),  # south
+        ((slice(0, h - 1), slice(0, w - 1)), (slice(1, h), slice(1, w))),  # south-east
+        ((slice(0, h - 1), slice(1, w)), (slice(1, h), slice(0, w - 1))),  # south-west
+    ):
+        shape = ids[a].shape
+        block = slice(start, start + shape[0] * shape[1])
+        u[block].reshape(shape)[...] = ids[a]
+        v[block].reshape(shape)[...] = ids[b]
+        d = px[a] - px[b]
+        wt[block].reshape(shape)[...] = np.einsum("...k,...k->...", d, d)
+        start = block.stop
     return u, v, wt
 
 
